@@ -39,7 +39,6 @@ from .postprocess import (
     mse,
     per_sample_estimates,
     point_estimate,
-    posterior_mse,
     support_mode,
     tpr_tnr,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "mse",
     "per_sample_estimates",
     "point_estimate",
-    "posterior_mse",
     "support_mode",
     "tpr_tnr",
     "ChainTrace",

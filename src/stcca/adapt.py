@@ -155,12 +155,7 @@ def run_adaptive_chain(
 ) -> tuple[ChainTrace, AdaptState]:
     """Adaptive run: fresh ladder over `temperatures` with eta_k = 0.5 t_k / p,
     zero initial weights, then run_chain with the adaptation hook attached."""
-    temps = np.asarray(temperatures, dtype=float)
-    ladder = TemperingLadder(
-        temperatures=temps,
-        log_weights=np.zeros(temps.size),
-        step_sizes=0.5 * temps / float(gep.p),
-    )
+    ladder = TemperingLadder.for_dimension(gep.p, temperatures)
     adapt = AdaptState.for_ladder(ladder, a_wl=a_wl, w=w, frozen=frozen)
     hook = AdaptiveHook(adapt, ladder)
     trace = run_chain(

@@ -26,9 +26,8 @@ import csv
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -38,6 +37,7 @@ from .covariance import Dataset, assemble_gep, estimate_gep
 from .errors import ConfigError, DomainError, EmptyInputError, StccaError
 from .model import DEFAULT_TEMPERATURES, PriorConfig, TemperingLadder
 from .postprocess import EstimateReport, build_report
+from .sampler import ChainTrace
 from .simdata import TruncationSpec, build_population_cov, sample_gaussian_pairs, truncate_copula
 
 __all__ = ["ExperimentConfig", "aggregate_replications", "main"]
@@ -116,61 +116,41 @@ def _as_float_list(key: str, v):
     return tuple(_as_float(key, item) for item in _listify(key, v))
 
 
-# key -> (caster, default); None defaults are resolved during validation
-_SCHEMA = {
-    "mode": (_as_choice(_MODES), None),
-    "p_x": (_as_int, 50),
-    "p_y": (_as_int, 50),
-    "n": (_as_int, 200),
-    "estimator": (_as_choice(_ESTIMATORS), "sample"),
-    "rho0": (_as_float, 10.0),
-    "rho1": (_as_float, 0.5),
-    "q": (_as_float, None),
-    "sigma": (_as_float, 1.0),
-    "temperatures": (_as_float_list, None),
-    "ladder_count": (_as_int, None),
-    "ladder_ratio": (_as_float, None),
-    "N": (_as_int, 10000),
-    "J": (_as_int, 100),
-    "thin": (_as_int, 1),
-    "seeds": (_as_int_list, (0,)),
-    "c": (_as_float, None),
-    "lambda1": (_as_float, 0.9),
-    "lag": (_as_int, None),
-    "n_max": (_as_int, None),
-    "n_reps": (_as_int, 20),
-    "p_grid": (_as_int_list, None),
-    "eps": (_as_float, 0.1),
-    "data_dir": (_as_str, None),
-}
+def _key(cast, default=None):
+    # a config key: its caster, and the value taken when the key is absent
+    return field(default=default, metadata={"cast": cast})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved and validated experiment settings."""
+    """Fully resolved and validated experiment settings.
 
-    mode: str
-    p_x: int
-    p_y: int
-    n: int
-    estimator: str
-    rho0: float
-    rho1: float
-    q: float | None
-    sigma: float
-    temperatures: tuple[float, ...]
-    N: int
-    J: int
-    thin: int
-    seeds: tuple[int, ...]
-    c: float | None
-    lambda1: float
-    lag: int | None
-    n_max: int | None
-    n_reps: int
-    p_grid: tuple[int, ...]
-    eps: float
-    data_dir: str | None
+    Each field is the config key of the same name. The None defaults of
+    mode, temperatures and p_grid are resolved during validation.
+    """
+
+    mode: str = _key(_as_choice(_MODES))
+    p_x: int = _key(_as_int, 50)
+    p_y: int = _key(_as_int, 50)
+    n: int = _key(_as_int, 200)
+    estimator: str = _key(_as_choice(_ESTIMATORS), "sample")
+    rho0: float = _key(_as_float, 10.0)
+    rho1: float = _key(_as_float, 0.5)
+    q: float | None = _key(_as_float)
+    sigma: float = _key(_as_float, 1.0)
+    temperatures: tuple[float, ...] = _key(_as_float_list)
+    N: int = _key(_as_int, 10000)
+    J: int = _key(_as_int, 100)
+    thin: int = _key(_as_int, 1)
+    seeds: tuple[int, ...] = _key(_as_int_list, (0,))
+    c: float | None = _key(_as_float)
+    lambda1: float = _key(_as_float, 0.9)
+    lag: int | None = _key(_as_int)
+    n_max: int | None = _key(_as_int)
+    n_reps: int = _key(_as_int, 20)
+    p_grid: tuple[int, ...] = _key(_as_int_list)
+    eps: float = _key(_as_float, 0.1)
+    data_dir: str | None = _key(_as_str)
 
     @property
     def p(self) -> int:
@@ -184,6 +164,14 @@ class ExperimentConfig:
         return PriorConfig(rho0=self.rho0, rho1=self.rho1, q=q, sigma=self.sigma)
 
 
+# keys that only describe a geometric ladder; validation turns them into
+# `temperatures`, so they are not fields of ExperimentConfig
+_LADDER_KEYS = {"ladder_count": _as_int, "ladder_ratio": _as_float}
+# every config key with its caster
+_SCHEMA = {f.name: f.metadata["cast"] for f in fields(ExperimentConfig)} | _LADDER_KEYS
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+
+
 def validate_config(raw: dict, command: str) -> ExperimentConfig:
     """Coerce and cross-check a flat config dict against every module
     precondition the selected command will hit. Raises ConfigError; nothing
@@ -192,9 +180,9 @@ def validate_config(raw: dict, command: str) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {unknown}")
     vals = {}
-    for key, (cast, default) in _SCHEMA.items():
+    for key, cast in _SCHEMA.items():
         v = raw.get(key)
-        vals[key] = default if v is None else cast(key, v)
+        vals[key] = _DEFAULTS.get(key) if v is None else cast(key, v)
 
     if command in _MODES:
         if vals["mode"] is not None and vals["mode"] != command:
@@ -249,11 +237,7 @@ def validate_config(raw: dict, command: str) -> ExperimentConfig:
         else:
             temps = tuple(DEFAULT_TEMPERATURES)
     try:
-        TemperingLadder(
-            temperatures=np.asarray(temps, dtype=float),
-            log_weights=np.zeros(len(temps)),
-            step_sizes=np.ones(len(temps)),
-        )
+        TemperingLadder.for_dimension(p, temps)
     except DomainError as exc:
         raise ConfigError(f"invalid temperature ladder: {exc}")
 
@@ -278,43 +262,23 @@ def validate_config(raw: dict, command: str) -> ExperimentConfig:
         raise ConfigError(
             f"simulated data needs p_x + p_y divisible by 20, got {p}"
         )
+    if simulates and vals["p_x"] != vals["p_y"]:
+        # the population model splits p into two equal views
+        raise ConfigError(
+            f"simulated data needs p_x = p_y, got {vals['p_x']} and {vals['p_y']}"
+        )
 
-    p_grid = vals["p_grid"]
+    p_grid = vals["p_grid"] if vals["p_grid"] is not None else (p,)
     if mode == "couple":
-        if p_grid is None:
-            p_grid = (p,)
         for entry in p_grid:
             if entry < 10 or entry % 10 != 0:
                 raise ConfigError(
                     f"p_grid entries must be multiples of 10, got {entry}"
                 )
-    else:
-        p_grid = p_grid if p_grid is not None else (p,)
 
-    return ExperimentConfig(
-        mode=mode,
-        p_x=vals["p_x"],
-        p_y=vals["p_y"],
-        n=vals["n"],
-        estimator=vals["estimator"],
-        rho0=vals["rho0"],
-        rho1=vals["rho1"],
-        q=vals["q"],
-        sigma=vals["sigma"],
-        temperatures=tuple(float(t) for t in temps),
-        N=vals["N"],
-        J=vals["J"],
-        thin=vals["thin"],
-        seeds=tuple(vals["seeds"]),
-        c=vals["c"],
-        lambda1=vals["lambda1"],
-        lag=vals["lag"],
-        n_max=vals["n_max"],
-        n_reps=vals["n_reps"],
-        p_grid=tuple(p_grid),
-        eps=vals["eps"],
-        data_dir=vals["data_dir"],
-    )
+    resolved = {f.name: vals[f.name] for f in fields(ExperimentConfig)}
+    resolved.update(mode=mode, temperatures=temps, p_grid=p_grid)
+    return ExperimentConfig(**resolved)
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +388,14 @@ def _read_trace_csv(path: Path):
     if not rows:
         raise ConfigError(f"{path} holds no states")
     iters = np.array([int(r[0]) for r in rows], dtype=np.int64)
-    k = np.array([int(r[1]) for r in rows], dtype=np.int64)
-    delta = np.array([[int(x) for x in r[4 : 4 + p]] for r in rows], dtype=np.uint8)
-    theta = np.array([[float(x) for x in r[4 + p :]] for r in rows], dtype=float)
-    return iters, k, delta, theta
+    return ChainTrace(
+        delta=np.array([[int(x) for x in r[4 : 4 + p]] for r in rows], dtype=np.uint8),
+        theta=np.array([[float(x) for x in r[4 + p :]] for r in rows], dtype=float),
+        k=np.array([int(r[1]) for r in rows], dtype=np.int64),
+        rayleigh=np.array([float(r[3]) for r in rows]),
+        n_iters=int(iters[-1]),
+        iters=iters,
+    )
 
 
 def _report_dict(rep: EstimateReport, seed=None) -> dict:
@@ -786,10 +754,10 @@ def cmd_couple(cfg: ExperimentConfig, args, out_dir: Path) -> None:
 
 
 def cmd_report(cfg: ExperimentConfig, args, out_dir: Path) -> None:
-    iters, k, delta, theta = _read_trace_csv(Path(args.trace))
-    if delta.shape[1] != cfg.p:
+    trace = _read_trace_csv(Path(args.trace))
+    if trace.p != cfg.p:
         raise ConfigError(
-            f"trace dimension {delta.shape[1]} does not match config p = {cfg.p}"
+            f"trace dimension {trace.p} does not match config p = {cfg.p}"
         )
     truth_x = truth_y = None
     if args.truth is not None:
@@ -799,14 +767,9 @@ def cmd_report(cfg: ExperimentConfig, args, out_dir: Path) -> None:
         truth_x = np.asarray(truth["v_x_star"], dtype=float)
         truth_y = np.asarray(truth["v_y_star"], dtype=float)
 
-    # retention is decided on original iteration numbers, so thinned traces
-    # keep the same burn-in boundary as the run they came from
-    n_final = int(iters[-1])
-    positions = np.nonzero((4 * iters >= 3 * n_final) & (k == 1))[0]
-    shim = SimpleNamespace(delta=delta, theta=theta, k=k)
-    report = build_report(
-        shim, cfg.p_x, truth_x=truth_x, truth_y=truth_y, samples=positions
-    )
+    # the trace carries its iteration numbers, so a thinned trace keeps the
+    # burn-in boundary of the run it came from
+    report = build_report(trace, cfg.p_x, truth_x=truth_x, truth_y=truth_y)
     out_dir.mkdir(parents=True, exist_ok=True)
     _echo_config(cfg, "report", out_dir)
     d = _report_dict(report)

@@ -28,12 +28,13 @@ from .model import (
     PriorConfig,
     QuadraticCache,
     TemperingLadder,
+    log_quasi_posterior,
+    quasi_scale,
+    selected_target,
 )
 from .sampler import (
     DEFAULT_SUBSET_SIZE,
-    _log_post_from_pieces,
     _mala_accept,
-    _mala_drift,
     advance_chain,
     draw_subset,
     gibbs_update_delta,
@@ -108,8 +109,7 @@ def coupled_theta_step(
     Returns (alpha1, alpha2, r1, r2) with each chain's acceptance probability
     and post-move selected-block quotient.
     """
-    if gep.n is None:
-        raise DomainError("GepPair has no sample count n")
+    quot_coef = quasi_scale(gep, prior)
     c1, c2 = pair.chain1, pair.chain2
     d1 = c1.delta.astype(bool)
     d2 = c2.delta.astype(bool)
@@ -120,7 +120,6 @@ def coupled_theta_step(
     t2 = float(ladder.temperatures[c2.k - 1])
     eta1 = float(ladder.step_sizes[c1.k - 1])
     eta2 = float(ladder.step_sizes[c2.k - 1])
-    quot_coef = 2.0 * gep.n / prior.sigma**2
 
     # shared draws, fixed order so the stream layout is part of the contract
     z_full = np.zeros(c1.p)
@@ -136,12 +135,12 @@ def coupled_theta_step(
 
     u1 = c1.theta[sel1].copy()
     u2 = c2.theta[sel2].copy()
-    A11 = gep.A[np.ix_(sel1, sel1)]
-    B11 = gep.B[np.ix_(sel1, sel1)]
-    A22 = gep.A[np.ix_(sel2, sel2)]
-    B22 = gep.B[np.ix_(sel2, sel2)]
-    mu1, lw1, r1 = _mala_drift(u1, A11, B11, eta1, t1, prior, quot_coef)
-    mu2, lw2, r2 = _mala_drift(u2, A22, B22, eta2, t2, prior, quot_coef)
+    block1 = (gep.A[np.ix_(sel1, sel1)], gep.B[np.ix_(sel1, sel1)], prior, quot_coef, t1)
+    block2 = (gep.A[np.ix_(sel2, sel2)], gep.B[np.ix_(sel2, sel2)], prior, quot_coef, t2)
+    lw1, r1, g1 = selected_target(u1, *block1)
+    lw2, r2, g2 = selected_target(u2, *block2)
+    mu1 = u1 + eta1 * g1
+    mu2 = u2 + eta2 * g2
     s1 = math.sqrt(2.0 * eta1)
     s2 = math.sqrt(2.0 * eta2)
 
@@ -177,13 +176,9 @@ def coupled_theta_step(
     # forward term from the realized proposal rather than the noise, so two
     # identical chains run bit-identical arithmetic through the accept test
     fwd1 = float((prop1 - mu1) @ (prop1 - mu1)) / (4.0 * eta1)
-    u1_new, alpha1, r1, _ = _mala_accept(
-        u1, prop1, fwd1, lw1, r1, A11, B11, eta1, t1, prior, quot_coef, accept_u
-    )
+    u1_new, alpha1, r1, _ = _mala_accept(u1, prop1, fwd1, lw1, r1, block1, eta1, accept_u)
     fwd2 = float((prop2 - mu2) @ (prop2 - mu2)) / (4.0 * eta2)
-    u2_new, alpha2, r2, _ = _mala_accept(
-        u2, prop2, fwd2, lw2, r2, A22, B22, eta2, t2, prior, quot_coef, accept_u
-    )
+    u2_new, alpha2, r2, _ = _mala_accept(u2, prop2, fwd2, lw2, r2, block2, eta2, accept_u)
     c1.theta[sel1] = u1_new
     c2.theta[sel2] = u2_new
     return alpha1, alpha2, r1, r2
@@ -242,9 +237,8 @@ def coupled_step(
     k_mala = pair.chain1.k
     alpha1, alpha2, r1, r2 = coupled_theta_step(pair, gep, prior, ladder, rng)
 
-    quot_coef = 2.0 * gep.n / prior.sigma**2
-    lp1 = _log_post_from_pieces(pair.chain1, prior, quot_coef, r1)
-    lp2 = _log_post_from_pieces(pair.chain2, prior, quot_coef, r2)
+    lp1 = log_quasi_posterior(pair.chain1, gep, prior, r_sel=r1)
+    lp2 = log_quasi_posterior(pair.chain2, gep, prior, r_sel=r2)
     coupled_temperature_step(
         pair, gep, prior, ladder, rng, log_post1=lp1, log_post2=lp2
     )
@@ -275,8 +269,6 @@ def lagged_meeting_time(
     coupled phase each consume their own substream of `seed`, and adaptation
     (on by default) keeps a single shared state driven by the leading chain.
     """
-    if gep.n is None:
-        raise DomainError("GepPair has no sample count n")
     p = gep.p
     if n_max is None:
         n_max = 10 * p + 1000
@@ -292,12 +284,7 @@ def lagged_meeting_time(
     entropy = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     seq_x, seq_y, seq_solo, seq_pair = entropy.spawn(4)
 
-    temps = np.asarray(temperatures, dtype=float)
-    ladder = TemperingLadder(
-        temperatures=temps,
-        log_weights=np.zeros(temps.size),
-        step_sizes=0.5 * temps / float(p),
-    )
+    ladder = TemperingLadder.for_dimension(p, temperatures)
     hook = None
     if adaptive:
         adapt = AdaptState.for_ladder(ladder, a_wl=a_wl, w=w)

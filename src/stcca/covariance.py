@@ -148,8 +148,8 @@ def sine_bridge(tau):
     return out
 
 
-def psd_repair(M: np.ndarray, floor: float = DEFAULT_PSD_FLOOR) -> np.ndarray:
-    """Clip the spectrum of a symmetric matrix at `floor` from below.
+def psd_repair(M: np.ndarray) -> np.ndarray:
+    """Clip the spectrum of a symmetric matrix at DEFAULT_PSD_FLOOR from below.
 
     Leaves the input untouched when its minimum eigenvalue already clears the
     floor, so the sample-covariance route is never perturbed.
@@ -161,9 +161,9 @@ def psd_repair(M: np.ndarray, floor: float = DEFAULT_PSD_FLOOR) -> np.ndarray:
         raise DomainError("matrix is not symmetric")
     sym = (M + M.T) / 2.0
     eigvals, eigvecs = scipy.linalg.eigh(sym)
-    if eigvals[0] >= floor:
+    if eigvals[0] >= DEFAULT_PSD_FLOOR:
         return M.copy()
-    clipped = np.maximum(eigvals, floor)
+    clipped = np.maximum(eigvals, DEFAULT_PSD_FLOOR)
     out = (eigvecs * clipped) @ eigvecs.T
     return (out + out.T) / 2.0
 
@@ -174,7 +174,6 @@ def assemble_gep(
     Sxy: np.ndarray,
     n: int | None = None,
     rank_based: bool = False,
-    floor: float = DEFAULT_PSD_FLOOR,
 ) -> GepPair:
     """Place (Sx, Sy, Sxy) into the (A, B) pair.
 
@@ -202,29 +201,21 @@ def assemble_gep(
     B[:p_x, :p_x] = Sx
     B[p_x:, p_x:] = Sy
     if rank_based:
-        B = psd_repair(B, floor=floor)
+        B = psd_repair(B)
     return GepPair(A=A, B=B, p_x=p_x, p_y=p_y, n=n)
 
 
-def estimate_gep(
-    dataset: Dataset,
-    method: str = "sample",
-    bridge=None,
-    floor: float = DEFAULT_PSD_FLOOR,
-) -> GepPair:
+def estimate_gep(dataset: Dataset, method: str = "sample") -> GepPair:
     """Estimate (Sx, Sy, Sxy) from data and assemble the pair.
 
     method: "sample" for plain sample covariances, "kendall-sine" for the
-    rank-based route. `bridge` overrides the tau -> correlation map (the
-    plug-in point for truncated-margin bridges); default is the entrywise
-    sine bridge.
+    rank-based route through the entrywise sine bridge.
     """
     if method == "sample":
         S = sample_covariance(dataset.combined())
         rank_based = False
     elif method == "kendall-sine":
-        tau = kendall_tau_matrix(dataset.combined())
-        S = sine_bridge(tau) if bridge is None else bridge(tau)
+        S = sine_bridge(kendall_tau_matrix(dataset.combined()))
         rank_based = True
     else:
         raise DomainError(f"unknown estimator {method!r}; use 'sample' or 'kendall-sine'")
@@ -235,5 +226,4 @@ def estimate_gep(
         S[:px, px:],
         n=dataset.n,
         rank_based=rank_based,
-        floor=floor,
     )

@@ -19,9 +19,6 @@ DEFAULT_RHO1 = 0.5
 DEFAULT_SIGMA = 1.0
 DEFAULT_TEMPERATURES = (1.0, 1.0 / 0.9, 1.0 / 0.8, 1.0 / 0.7, 1.0 / 0.6)
 
-# flips between from-scratch cache rebuilds; bounds rank-one drift
-CACHE_REFRESH_FLIPS = 500
-
 
 @dataclass(frozen=True)
 class PriorConfig:
@@ -157,24 +154,35 @@ def rayleigh_selected(state: ChainState, gep: GepPair) -> float:
     return rayleigh(masked, gep)
 
 
-def _quasi_log_terms(state: ChainState, gep: GepPair, prior: PriorConfig):
+def quasi_scale(gep: GepPair, prior: PriorConfig) -> float:
+    """Quasi-likelihood scale 2n / sigma^2 on the Rayleigh quotient."""
     if gep.n is None:
         raise DomainError("GepPair has no sample count n; quasi-posterior needs it")
+    return 2.0 * gep.n / prior.sigma**2
+
+
+def log_quasi_posterior(
+    state: ChainState, gep: GepPair, prior: PriorConfig, r_sel: float | None = None
+) -> float:
+    """Unnormalized log density at temperature 1:
+    a |delta|_0 - (rho1/2)|theta_sel|^2 - (rho0/2)|theta - theta_sel|^2
+    + (2n/sigma^2) R(theta_sel).
+
+    r_sel is the selected quotient R(theta_sel) when the caller already holds
+    it; otherwise it is evaluated here at O(p^2) cost.
+    """
+    scale = quasi_scale(gep, prior)
+    if r_sel is None:
+        r_sel = rayleigh_selected(state, gep)
     mask = state.delta.astype(bool)
     theta_sel = state.theta[mask]
     theta_unsel = state.theta[~mask]
-    size_term = prior.a * float(mask.sum())
-    slab_term = -0.5 * prior.rho1 * float(theta_sel @ theta_sel)
-    spike_term = -0.5 * prior.rho0 * float(theta_unsel @ theta_unsel)
-    quot_term = (2.0 * gep.n / prior.sigma**2) * rayleigh_selected(state, gep)
-    return size_term, slab_term, spike_term, quot_term
-
-
-def log_quasi_posterior(state: ChainState, gep: GepPair, prior: PriorConfig) -> float:
-    """Unnormalized log density at temperature 1:
-    a |delta|_0 - (rho1/2)|theta_sel|^2 - (rho0/2)|theta - theta_sel|^2
-    + (2n/sigma^2) R(theta_sel)."""
-    return float(sum(_quasi_log_terms(state, gep, prior)))
+    return (
+        prior.a * float(mask.sum())
+        - 0.5 * prior.rho1 * float(theta_sel @ theta_sel)
+        - 0.5 * prior.rho0 * float(theta_unsel @ theta_unsel)
+        + scale * r_sel
+    )
 
 
 def log_tempered(
@@ -191,6 +199,32 @@ def log_tempered(
     return float(-ladder.log_weights[k - 1] + log_quasi_posterior(state, gep, prior) / t_k)
 
 
+def selected_target(
+    u: np.ndarray,
+    A_ss: np.ndarray,
+    B_ss: np.ndarray,
+    prior: PriorConfig,
+    scale: float,
+    t_k: float,
+):
+    """Selected-block log target at temperature t_k, its quotient and its
+    gradient: (log_w, r, grad).
+
+    Target: (-(rho1/2) |u|^2 + scale R(u)) / t_k on the sub-blocks A_ss, B_ss.
+    Quotient rule: grad R(u) = 2 (A u - R(u) B u) / (u' B u). Raises
+    UndefinedQuotientError when u' B u <= 0.
+    """
+    Bu = B_ss @ u
+    qb = float(u @ Bu)
+    if not qb > 0.0:
+        raise UndefinedQuotientError("selected block has theta' B theta <= 0")
+    Au = A_ss @ u
+    r = float(u @ Au) / qb
+    log_w = (-0.5 * prior.rho1 * float(u @ u) + scale * r) / t_k
+    grad_r = 2.0 * (Au - r * Bu) / qb
+    return log_w, r, (-prior.rho1 * u + scale * grad_r) / t_k
+
+
 def grad_selected(
     u: np.ndarray,
     k: int,
@@ -199,14 +233,9 @@ def grad_selected(
     prior: PriorConfig,
     ladder: TemperingLadder,
 ) -> np.ndarray:
-    """Gradient of the selected-block log target at temperature k.
-
-    Target: -(rho1/(2 t_k)) |u|^2 + (2n/(sigma^2 t_k)) R((u,0)_delta).
-    Quotient rule: grad R(v) = 2 (A v - R(v) B v) / (v' B v), restricted to
-    the selected coordinates.
-    """
-    if gep.n is None:
-        raise DomainError("GepPair has no sample count n")
+    """Gradient of the selected-block log target at temperature k, as the
+    MALA step computes it (see selected_target)."""
+    scale = quasi_scale(gep, prior)
     if not 1 <= k <= ladder.K:
         raise IndexError(f"temperature index {k} outside 1..{ladder.K}")
     sel = np.flatnonzero(np.asarray(delta))
@@ -217,15 +246,8 @@ def grad_selected(
         )
     A_ss = gep.A[np.ix_(sel, sel)]
     B_ss = gep.B[np.ix_(sel, sel)]
-    Bu = B_ss @ u
-    qb = float(u @ Bu)
-    if qb <= 0.0:
-        raise UndefinedQuotientError("selected block has theta' B theta <= 0")
-    Au = A_ss @ u
-    r = float(u @ Au) / qb
-    grad_r = 2.0 * (Au - r * Bu) / qb
     t_k = float(ladder.temperatures[k - 1])
-    return (-prior.rho1 * u + (2.0 * gep.n / prior.sigma**2) * grad_r) / t_k
+    return selected_target(u, A_ss, B_ss, prior, scale, t_k)[2]
 
 
 class QuadraticCache:
@@ -233,29 +255,21 @@ class QuadraticCache:
 
     Tracks qa = v'Av, qb = v'Bv for v = theta * delta, plus the full products
     a_dot = A v and b_dot = B v. Flipping one coordinate is a rank-one
-    correction; the cache rebuilds from scratch every CACHE_REFRESH_FLIPS
-    commits to keep drift below 1e-9 relative.
+    correction. The sampler builds a fresh cache every iteration, so drift
+    accumulates over one sweep of at most the subset size in flips.
     """
 
     def __init__(self, gep: GepPair, state: ChainState):
         self._gep = gep
-        self._state = state
         self._A_diag = np.ascontiguousarray(np.diag(gep.A))
         self._B_diag = np.ascontiguousarray(np.diag(gep.B))
-        self._flips_since_refresh = 0
-        self.refresh()
-
-    def refresh(self) -> None:
-        """Recompute all cached quantities from the owning state."""
-        state = self._state
         sel = np.flatnonzero(state.delta)
         theta_sel = state.theta[sel]
-        self.a_dot = self._gep.A[:, sel] @ theta_sel
-        self.b_dot = self._gep.B[:, sel] @ theta_sel
+        self.a_dot = gep.A[:, sel] @ theta_sel
+        self.b_dot = gep.B[:, sel] @ theta_sel
         self.qa = float(theta_sel @ self.a_dot[sel])
         self.qb = float(theta_sel @ self.b_dot[sel])
         self.n_active = sel.size
-        self._flips_since_refresh = 0
 
     def branch_forms(self, j: int, theta_j: float, selected: bool):
         """Quadratic forms with coordinate j forced off and on:
@@ -306,9 +320,6 @@ class QuadraticCache:
             self.a_dot -= theta_j * self._gep.A[j]
             self.b_dot -= theta_j * self._gep.B[j]
             self.n_active -= 1
-        self._flips_since_refresh += 1
-        if self._flips_since_refresh >= CACHE_REFRESH_FLIPS:
-            self.refresh()
 
     def rayleigh_current(self) -> float:
         """Quotient at the current masked vector; -inf on the empty model."""

@@ -30,7 +30,6 @@ __all__ = [
     "support_mode",
     "point_estimate",
     "mse",
-    "posterior_mse",
     "tpr_tnr",
     "inclusion_probabilities",
     "build_report",
@@ -38,11 +37,13 @@ __all__ = [
 
 
 def extract_posterior_samples(trace, n_iters: int | None = None) -> np.ndarray:
-    """Indices of the retained draws.
+    """Row positions of the retained draws.
 
-    Row t of the trace is a draw when t >= 3*n_iters/4 and the chain sat at
-    the coldest rung there. n_iters defaults to the full recorded run; a
-    smaller value restricts attention to the prefix 0..n_iters.
+    A row recording iteration t is a draw when t >= 3*n_iters/4 and the
+    chain sat at the coldest rung there. Row t records iteration t unless
+    the trace carries an `iters` array, as a thinned trace read back from
+    CSV does. n_iters defaults to the last recorded iteration; a smaller
+    value restricts attention to the iterations 0..n_iters.
 
     Raises EmptySampleError when no row qualifies, which means the chain
     never reached the coldest temperature after burn-in.
@@ -51,14 +52,16 @@ def extract_posterior_samples(trace, n_iters: int | None = None) -> np.ndarray:
     n_rows = k.shape[0]
     if n_rows == 0:
         raise EmptyInputError("trace has no recorded states")
+    iters = getattr(trace, "iters", None)
+    t = np.arange(n_rows) if iters is None else np.asarray(iters)
+    last = int(t[-1])
     if n_iters is None:
-        n_iters = n_rows - 1
-    if not 0 <= n_iters <= n_rows - 1:
-        raise DomainError(f"n_iters must be in [0, {n_rows - 1}], got {n_iters}")
-    t = np.arange(n_iters + 1)
+        n_iters = last
+    if not 0 <= n_iters <= last:
+        raise DomainError(f"n_iters must be in [0, {last}], got {n_iters}")
     # integer form of t >= 3*n_iters/4, exact for any n_iters
-    keep = (4 * t >= 3 * n_iters) & (k[: n_iters + 1] == 1)
-    idx = t[keep]
+    keep = (t <= n_iters) & (4 * t >= 3 * n_iters) & (k == 1)
+    idx = np.flatnonzero(keep)
     if idx.size == 0:
         raise EmptySampleError(
             "no draws at the coldest temperature in the retention window"
@@ -198,16 +201,6 @@ def mse(v, v_star) -> float:
     return float(min(d_minus @ d_minus, d_plus @ d_plus))
 
 
-def posterior_mse(v_samples, v_star) -> float:
-    """Average sign-invariant squared error over a stack of unit vectors."""
-    arr = np.asarray(v_samples, dtype=float)
-    if arr.ndim != 2:
-        raise DimensionMismatchError("v_samples must form a 2-D array")
-    if arr.shape[0] == 0:
-        raise EmptyInputError("no vectors to average over")
-    return float(np.mean([mse(row, v_star) for row in arr]))
-
-
 def tpr_tnr(v, v_star) -> tuple[float, float]:
     """Support recovery rates of v against a reference vector.
 
@@ -295,32 +288,19 @@ def build_report(
     n_iters: int | None = None,
     truth_x=None,
     truth_y=None,
-    samples=None,
 ) -> EstimateReport:
     """Run the whole output stage over a recorded chain.
 
-    Retains the cold draws from the final quarter, forms the modal support,
-    inclusion frequencies, and the sign-aligned averaged estimate. When both
-    reference directions are given they are scaled to unit norm and the
-    error and support-recovery metrics are filled in; their zero patterns
-    are what the rates compare against. Supplying only one reference is an
-    error.
-
-    samples, when given, is the precomputed array of retained row positions
-    and replaces the burn-in rule; callers working from thinned or reloaded
-    traces, where row position and iteration number disagree, decide
-    retention themselves.
+    Retains the cold draws from the final quarter (extract_posterior_samples),
+    forms the modal support, inclusion frequencies, and the sign-aligned
+    averaged estimate. When both reference directions are given they are
+    scaled to unit norm and the error and support-recovery metrics are
+    filled in; their zero patterns are what the rates compare against.
+    Supplying only one reference is an error.
     """
     if (truth_x is None) != (truth_y is None):
         raise DomainError("supply both reference directions or neither")
-    if samples is None:
-        samples = extract_posterior_samples(trace, n_iters)
-    else:
-        samples = np.asarray(samples, dtype=np.int64)
-        if samples.size == 0:
-            raise EmptySampleError(
-                "no draws at the coldest temperature in the retention window"
-            )
+    samples = extract_posterior_samples(trace, n_iters)
     delta = np.asarray(trace.delta)
     delta_bar = support_mode(delta[samples])
     estimates = per_sample_estimates(trace, samples, p_x)

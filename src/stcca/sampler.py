@@ -13,13 +13,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .covariance import GepPair
-from .errors import DomainError
+from .errors import DomainError, UndefinedQuotientError
 from .model import (
     ChainState,
     PriorConfig,
     QuadraticCache,
     TemperingLadder,
+    log_quasi_posterior,
+    quasi_scale,
     rayleigh_selected,
+    selected_target,
 )
 
 DEFAULT_SUBSET_SIZE = 100
@@ -73,11 +76,9 @@ def gibbs_success_prob(
     cache: QuadraticCache | None = None,
 ) -> float:
     """Conditional probability that coordinate j is selected."""
-    if gep.n is None:
-        raise DomainError("GepPair has no sample count n")
+    quot_coef = quasi_scale(gep, prior)
     if cache is None:
         cache = QuadraticCache(gep, state)
-    quot_coef = 2.0 * gep.n / prior.sigma**2
     t_k = float(ladder.temperatures[state.k - 1])
     ell = _flip_log_odds(
         cache, j, float(state.theta[j]), bool(state.delta[j]), prior, quot_coef, t_k
@@ -100,11 +101,9 @@ def gibbs_update_delta(
     Each coordinate consumes exactly one uniform, drawn here unless supplied
     (the coupled kernel feeds both chains the same array).
     """
-    if gep.n is None:
-        raise DomainError("GepPair has no sample count n")
+    quot_coef = quasi_scale(gep, prior)
     if cache is None:
         cache = QuadraticCache(gep, state)
-    quot_coef = 2.0 * gep.n / prior.sigma**2
     t_k = float(ladder.temperatures[state.k - 1])
     delta = state.delta
     theta = state.theta
@@ -121,88 +120,33 @@ def gibbs_update_delta(
             cache.commit_flip(j, theta_j, now)
 
 
-def _quad_parts(v: np.ndarray, A_ss: np.ndarray, B_ss: np.ndarray):
-    Bv = B_ss @ v
-    qb = float(v @ Bv)
-    Av = A_ss @ v
-    qa = float(v @ Av)
-    return Av, Bv, qa, qb
-
-
-def _log_w(qa: float, qb: float, v: np.ndarray, prior, quot_coef: float, t_k: float):
-    r = qa / qb
-    return (-0.5 * prior.rho1 * float(v @ v) + quot_coef * r) / t_k, r
-
-
-def _grad_w(v, Av, Bv, qa, qb, prior, quot_coef: float, t_k: float):
-    r = qa / qb
-    g_r = 2.0 * (Av - r * Bv) / qb
-    return (-prior.rho1 * v + quot_coef * g_r) / t_k
-
-
-def _mala_drift(u: np.ndarray, A_ss, B_ss, eta: float, t_k: float, prior, quot_coef):
-    """Proposal mean and current-point log density: (mu, lw_u, r_u)."""
-    Au, Bu, qa_u, qb_u = _quad_parts(u, A_ss, B_ss)
-    lw_u, r_u = _log_w(qa_u, qb_u, u, prior, quot_coef, t_k)
-    g_u = _grad_w(u, Au, Bu, qa_u, qb_u, prior, quot_coef, t_k)
-    return u + eta * g_u, lw_u, r_u
-
-
 def _mala_accept(
     u: np.ndarray,
     prop: np.ndarray,
     forward_half_sq: float,
     lw_u: float,
     r_u: float,
-    A_ss,
-    B_ss,
+    block: tuple,
     eta: float,
-    t_k: float,
-    prior,
-    quot_coef: float,
     accept_u: float,
 ):
     """Metropolis correction for a precomputed proposal.
 
-    forward_half_sq is -log of the forward proposal density up to its
-    normalizing constant. Returns (u_new, alpha, r_new, accepted); a proposal
-    outside the quotient's domain is a certain rejection.
+    block holds the trailing arguments of selected_target (A_ss, B_ss, prior,
+    scale, t_k). forward_half_sq is -log of the forward proposal density up
+    to its normalizing constant. Returns (u_new, alpha, r_new, accepted); a
+    proposal outside the quotient's domain is a certain rejection.
     """
-    Ap, Bp, qa_p, qb_p = _quad_parts(prop, A_ss, B_ss)
-    if not qb_p > 0.0:
+    try:
+        lw_p, r_p, g_p = selected_target(prop, *block)
+    except UndefinedQuotientError:
         return u, 0.0, r_u, False
-    lw_p, r_p = _log_w(qa_p, qb_p, prop, prior, quot_coef, t_k)
-    g_p = _grad_w(prop, Ap, Bp, qa_p, qb_p, prior, quot_coef, t_k)
     back = u - prop - eta * g_p
     log_alpha = lw_p - lw_u - float(back @ back) / (4.0 * eta) + forward_half_sq
     alpha = math.exp(log_alpha) if log_alpha < 0.0 else 1.0
     if accept_u < alpha:
         return prop, alpha, r_p, True
     return u, alpha, r_u, False
-
-
-def _mala_block(
-    u: np.ndarray,
-    A_ss: np.ndarray,
-    B_ss: np.ndarray,
-    eta: float,
-    t_k: float,
-    prior: PriorConfig,
-    quot_coef: float,
-    xi: np.ndarray,
-    accept_u: float,
-):
-    """One MALA step on the selected block.
-
-    Returns (u_new, alpha, r_new, accepted); alpha is the acceptance
-    probability actually used, which the adaptive layer consumes.
-    """
-    mu, lw_u, r_u = _mala_drift(u, A_ss, B_ss, eta, t_k, prior, quot_coef)
-    prop = mu + math.sqrt(2.0 * eta) * xi
-    return _mala_accept(
-        u, prop, 0.5 * float(xi @ xi), lw_u, r_u,
-        A_ss, B_ss, eta, t_k, prior, quot_coef, accept_u,
-    )
 
 
 def mala_update_theta(
@@ -218,11 +162,12 @@ def mala_update_theta(
     """Redraw unselected coordinates from their exact Gaussian conditional and
     advance the selected block by one MALA step, in place.
 
-    Returns (accepted, alpha, r_selected). Draw order when sampling here:
-    unselected normals, then proposal noise, then the acceptance uniform.
+    Returns (accepted, alpha, r_selected); alpha is the acceptance
+    probability actually used, which the adaptive layer consumes. Draw order
+    when sampling here: unselected normals, then proposal noise, then the
+    acceptance uniform.
     """
-    if gep.n is None:
-        raise DomainError("GepPair has no sample count n")
+    quot_coef = quasi_scale(gep, prior)
     k = state.k
     t_k = float(ladder.temperatures[k - 1])
     eta = float(ladder.step_sizes[k - 1])
@@ -239,11 +184,11 @@ def mala_update_theta(
         accept_u = float(rng.random())
 
     u = state.theta[sel].copy()
-    A_ss = gep.A[np.ix_(sel, sel)]
-    B_ss = gep.B[np.ix_(sel, sel)]
-    quot_coef = 2.0 * gep.n / prior.sigma**2
-    u_new, alpha, r_new, accepted = _mala_block(
-        u, A_ss, B_ss, eta, t_k, prior, quot_coef, xi, accept_u
+    block = (gep.A[np.ix_(sel, sel)], gep.B[np.ix_(sel, sel)], prior, quot_coef, t_k)
+    lw_u, r_u, g_u = selected_target(u, *block)
+    prop = u + eta * g_u + math.sqrt(2.0 * eta) * xi
+    u_new, alpha, r_new, accepted = _mala_accept(
+        u, prop, 0.5 * float(xi @ xi), lw_u, r_u, block, eta, accept_u
     )
     state.theta[sel] = u_new
     return accepted, alpha, r_new
@@ -286,8 +231,6 @@ def temperature_update(
     log_q_rev = 0.0 if k_new in (1, K) else math.log(0.5)
 
     if log_post is None:
-        from .model import log_quasi_posterior
-
         log_post = log_quasi_posterior(state, gep, prior)
     lw = ladder.log_weights
     t = ladder.temperatures
@@ -315,7 +258,11 @@ def initial_state(p: int, rng) -> ChainState:
 @dataclass
 class ChainTrace:
     """Full recording of a chain run: every state plus per-iteration
-    diagnostics. Row 0 is the initial state."""
+    diagnostics. Row 0 is the initial state.
+
+    Row t records iteration t, unless `iters` holds the iteration number of
+    each row, as in a thinned trace read back from CSV.
+    """
 
     delta: np.ndarray
     theta: np.ndarray
@@ -324,6 +271,7 @@ class ChainTrace:
     n_iters: int
     seed: object = None
     diagnostics: dict = field(default_factory=dict)
+    iters: np.ndarray | None = None
 
     @property
     def p(self) -> int:
@@ -331,20 +279,6 @@ class ChainTrace:
 
     def support_sizes(self) -> np.ndarray:
         return self.delta.sum(axis=1).astype(np.int64)
-
-
-def _log_post_from_pieces(state: ChainState, prior, quot_coef: float, r_sel: float) -> float:
-    """Log quasi-posterior reassembled from quantities the iteration already
-    produced, avoiding a fresh O(p^2) evaluation."""
-    sel_mask = state.delta.astype(bool)
-    u = state.theta[sel_mask]
-    th_unsel = state.theta[~sel_mask]
-    return (
-        prior.a * float(sel_mask.sum())
-        - 0.5 * prior.rho1 * float(u @ u)
-        - 0.5 * prior.rho0 * float(th_unsel @ th_unsel)
-        + quot_coef * r_sel
-    )
 
 
 def advance_chain(
@@ -355,7 +289,6 @@ def advance_chain(
     subset_size: int,
     rng,
     adapt=None,
-    mala_steps: int = 1,
 ):
     """One full sampler iteration in place: support sweep over a fresh random
     subset, loading update, temperature move, then the optional adaptation
@@ -370,12 +303,10 @@ def advance_chain(
     gibbs_update_delta(state, gep, prior, ladder, subset, rng, cache=cache)
 
     k_mala = state.k
-    alpha = 0.0
-    r_sel = -np.inf
-    for _ in range(mala_steps):
-        _, alpha, r_sel = mala_update_theta(state, gep, prior, ladder, rng)
+    _, alpha, r_sel = mala_update_theta(state, gep, prior, ladder, rng)
 
-    log_post = _log_post_from_pieces(state, prior, 2.0 * gep.n / prior.sigma**2, r_sel)
+    # the quotient from the loading move spares an O(p^2) re-evaluation
+    log_post = log_quasi_posterior(state, gep, prior, r_sel=r_sel)
     temperature_update(state, gep, prior, ladder, rng, log_post=log_post)
 
     if adapt is not None:
@@ -392,11 +323,8 @@ def run_chain(
     seed=None,
     rng=None,
     adapt=None,
-    mala_steps: int = 1,
 ) -> ChainTrace:
     """Run the full sampler for n_iters iterations, recording every state."""
-    if gep.n is None:
-        raise DomainError("GepPair has no sample count n")
     if n_iters < 0:
         raise DomainError("n_iters must be nonnegative")
     p = gep.p
@@ -420,8 +348,7 @@ def run_chain(
 
     for it in range(n_iters):
         alpha, k_mala, r_sel = advance_chain(
-            state, gep, prior, ladder, subset_size, rng,
-            adapt=adapt, mala_steps=mala_steps,
+            state, gep, prior, ladder, subset_size, rng, adapt=adapt
         )
         delta_tr[it + 1] = state.delta
         theta_tr[it + 1] = state.theta

@@ -59,8 +59,9 @@ class TestConfigValidation:
             validate_config({"temperatures": [2.0, 3.0]}, "sample")
 
     def test_simulation_needs_divisible_dims(self):
-        with pytest.raises(ConfigError):
-            validate_config({"p_x": 5, "p_y": 5}, "sample")
+        for dims in ({"p_x": 5, "p_y": 5}, {"p_x": 30, "p_y": 70}):
+            with pytest.raises(ConfigError):
+                validate_config(dims, "sample")
         # loading data lifts the divisibility requirement
         cfg = validate_config({"p_x": 5, "p_y": 5, "data_dir": "d"}, "sample")
         assert cfg.p == 10
@@ -220,6 +221,23 @@ class TestStageRoundTrips:
         for key in ["seed", "mse_x", "mse_y", "tpr_x", "tpr_y", "tnr_x", "tnr_y"]:
             orig.pop(key)
         assert solo == orig
+
+    # at thin 13 the rows hold iterations 0, 13, ..., 78, 80, and iteration
+    # 65 is retained although its row comes before the last quarter of rows
+    @pytest.mark.parametrize("thin", [7, 13])
+    def test_report_retains_by_iteration_number(self, tmp_path, thin):
+        run_dir = tmp_path / "run"
+        assert run_cli(SMALL_SAMPLE + ["--seed", 0, "--thin", thin, "--out", run_dir]) == 0
+        trace = run_dir / "trace_s0.csv"
+        rep_dir = tmp_path / "rep"
+        rc = run_cli(["report", "--p_x", 10, "--p_y", 10,
+                      "--trace", trace, "--out", rep_dir])
+        assert rc == 0
+        # N = 80: burn-in ends at iteration 60, whatever row it lands on
+        rows = [r.split(",") for r in trace.read_text().splitlines()[1:]]
+        kept = sum(1 for r in rows if 4 * int(r[0]) >= 240 and r[1] == "1")
+        solo = json.loads((rep_dir / "report.json").read_text())["report"]
+        assert solo["n_samples"] == kept
 
     def test_report_with_truth_metrics(self, tmp_path):
         data_dir = tmp_path / "data"

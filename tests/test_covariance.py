@@ -223,13 +223,6 @@ class TestEstimateGep:
         gep = estimate_gep(ds, method="kendall-sine")
         assert gep.A[0, 1] == pytest.approx(0.9, abs=0.05)
 
-    def test_custom_bridge_plugs_in(self):
-        rng = np.random.default_rng(37)
-        ds = Dataset(rng.standard_normal((30, 2)), rng.standard_normal((30, 2)))
-        gep = estimate_gep(ds, method="kendall-sine", bridge=lambda t: t)
-        tau = kendall_tau_matrix(ds.combined())
-        assert np.allclose(gep.A[:2, 2:], tau[:2, 2:])
-
     def test_unknown_method_rejected(self):
         ds = Dataset(np.zeros((3, 1)) + [[1.0], [2.0], [0.0]], np.ones((3, 1)))
         with pytest.raises(DomainError):

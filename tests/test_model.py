@@ -3,6 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stcca.covariance import GepPair, assemble_gep
 from stcca.errors import (
@@ -331,33 +333,44 @@ class TestGradSelected:
             )
 
 
-class TestQuadraticCache:
-    def _consistency(self, cache, gep, state):
-        masked = state.theta * state.delta
-        qa = masked @ gep.A @ masked
-        qb = masked @ gep.B @ masked
-        assert cache.qa == pytest.approx(qa, rel=1e-9, abs=1e-12)
-        assert cache.qb == pytest.approx(qb, rel=1e-9, abs=1e-12)
-        assert np.allclose(cache.a_dot, gep.A @ masked, rtol=1e-9, atol=1e-12)
-        assert np.allclose(cache.b_dot, gep.B @ masked, rtol=1e-9, atol=1e-12)
-        assert cache.n_active == state.n_active
+@st.composite
+def flip_runs(draw):
+    """(p, seed, flips): a dimension, a seed for the GEP and start state, and
+    up to 2p coordinate flips."""
+    p = draw(st.integers(2, 60))
+    seed = draw(st.integers(0, 2**32 - 1))
+    flips = draw(st.lists(st.integers(0, p - 1), max_size=2 * p))
+    return p, seed, flips
 
-    def test_tracks_random_flip_sequence(self):
-        rng = np.random.default_rng(30)
-        g = random_gep(rng, 5, 5, n=30)
-        delta = rng.integers(0, 2, size=10).astype(np.uint8)
-        delta[3] = 1
-        state = ChainState(delta=delta, theta=rng.standard_normal(10))
+
+class TestQuadraticCache:
+    @settings(derandomize=True, deadline=None)
+    @given(flip_runs())
+    def test_tracks_random_flip_sequence(self, run):
+        p, seed, flips = run
+        rng = np.random.default_rng(seed)
+        g = random_gep(rng, p // 2, p - p // 2, n=30)
+        delta = rng.integers(0, 2, size=p).astype(np.uint8)
+        delta[rng.integers(p)] = 1
+        state = ChainState(delta=delta, theta=rng.standard_normal(p))
         cache = QuadraticCache(g, state)
-        self._consistency(cache, g, state)
-        for _ in range(600):  # crosses the periodic refresh boundary
-            j = int(rng.integers(10))
+        for j in flips:
             now = not bool(state.delta[j])
             if not now and state.n_active == 1:
-                continue
+                continue  # kernel steps never empty the support
             state.delta[j] = 1 if now else 0
             cache.commit_flip(j, float(state.theta[j]), now)
-        self._consistency(cache, g, state)
+        masked = state.theta * state.delta
+        rebuilt = {
+            "qa": masked @ g.A @ masked,
+            "qb": masked @ g.B @ masked,
+            "a_dot": g.A @ masked,
+            "b_dot": g.B @ masked,
+        }
+        for name, want in rebuilt.items():
+            tol = 1e-9 * np.maximum(1.0, np.abs(want))
+            assert np.all(np.abs(getattr(cache, name) - want) <= tol), name
+        assert cache.n_active == state.n_active
 
     def test_branch_forms_match_direct_evaluation(self):
         rng = np.random.default_rng(32)

@@ -22,7 +22,6 @@ from stcca.postprocess import (
     mse,
     per_sample_estimates,
     point_estimate,
-    posterior_mse,
     support_mode,
     tpr_tnr,
 )
@@ -269,13 +268,6 @@ class TestMse:
     def test_rejects_non_unit(self):
         with pytest.raises(DomainError):
             mse(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
-
-    def test_posterior_average(self):
-        vs = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-        ref = np.array([1.0, 0.0])
-        assert posterior_mse(vs, ref) == pytest.approx(2.0 / 3.0)
-        with pytest.raises(EmptyInputError):
-            posterior_mse(np.zeros((0, 2)), ref)
 
 
 class TestTprTnr:
