@@ -57,19 +57,11 @@ class AdaptState:
         return self.tau.size
 
     @classmethod
-    def for_ladder(
-        cls,
-        ladder: TemperingLadder,
-        a_wl: float = INITIAL_WL_INCREMENT,
-        w: float = DEFAULT_FLATNESS_TOL,
-        frozen: bool = False,
-    ) -> "AdaptState":
+    def for_ladder(cls, ladder: TemperingLadder, frozen: bool = False) -> "AdaptState":
         return cls(
             tau=np.log(ladder.step_sizes),
             log_c=ladder.log_weights.copy(),
             v=np.zeros(ladder.K, dtype=np.int64),
-            a_wl=a_wl,
-            w=w,
             frozen=frozen,
         )
 
@@ -149,14 +141,12 @@ def run_adaptive_chain(
     n_iters: int,
     subset_size: int | None = None,
     seed=None,
-    w: float = DEFAULT_FLATNESS_TOL,
-    a_wl: float = INITIAL_WL_INCREMENT,
     frozen: bool = False,
 ) -> tuple[ChainTrace, AdaptState]:
     """Adaptive run: fresh ladder over `temperatures` with eta_k = 0.5 t_k / p,
     zero initial weights, then run_chain with the adaptation hook attached."""
     ladder = TemperingLadder.for_dimension(gep.p, temperatures)
-    adapt = AdaptState.for_ladder(ladder, a_wl=a_wl, w=w, frozen=frozen)
+    adapt = AdaptState.for_ladder(ladder, frozen=frozen)
     hook = AdaptiveHook(adapt, ladder)
     trace = run_chain(
         gep,

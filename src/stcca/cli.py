@@ -15,8 +15,7 @@ Configuration is a single flat JSON object; every key can be overridden by a
 command-line flag of the same name, and the whole config is validated before
 any computation or file output. Floats are written with full round-trip
 precision and JSON keys are sorted, so re-running identical config + seeds
-reproduces every CSV and JSON artifact byte for byte. Plot images are
-best-effort; the plot-ready CSVs are the durable outputs.
+reproduces every CSV and JSON artifact byte for byte.
 """
 
 from __future__ import annotations
@@ -163,13 +162,16 @@ class ExperimentConfig:
         q = self.q if self.q is not None else float(p) ** -1.5
         return PriorConfig(rho0=self.rho0, rho1=self.rho1, q=q, sigma=self.sigma)
 
+    def couple_limits(self, p: int) -> tuple[int, int]:
+        """(lag, n_max) of the coupled runs at dimension p; they default to
+        p and 10p + 1000."""
+        lag = self.lag if self.lag is not None else p
+        n_max = self.n_max if self.n_max is not None else 10 * p + 1000
+        return lag, n_max
 
-# keys that only describe a geometric ladder; validation turns them into
-# `temperatures`, so they are not fields of ExperimentConfig
-_LADDER_KEYS = {"ladder_count": _as_int, "ladder_ratio": _as_float}
+
 # every config key with its caster
-_SCHEMA = {f.name: f.metadata["cast"] for f in fields(ExperimentConfig)} | _LADDER_KEYS
-_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+_SCHEMA = {f.name: f.metadata["cast"] for f in fields(ExperimentConfig)}
 
 
 def validate_config(raw: dict, command: str) -> ExperimentConfig:
@@ -180,9 +182,9 @@ def validate_config(raw: dict, command: str) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {unknown}")
     vals = {}
-    for key, cast in _SCHEMA.items():
-        v = raw.get(key)
-        vals[key] = _DEFAULTS.get(key) if v is None else cast(key, v)
+    for f in fields(ExperimentConfig):
+        v = raw.get(f.name)
+        vals[f.name] = f.default if v is None else f.metadata["cast"](f.name, v)
 
     if command in _MODES:
         if vals["mode"] is not None and vals["mode"] != command:
@@ -194,91 +196,71 @@ def validate_config(raw: dict, command: str) -> ExperimentConfig:
     else:
         # utility stages reuse pipeline configs; a mode key is not binding
         mode = vals["mode"] or "sample"
-
-    if vals["p_x"] < 1 or vals["p_y"] < 1:
-        raise ConfigError("p_x and p_y must be positive")
     p = vals["p_x"] + vals["p_y"]
-    if vals["n"] < 1:
+    if vals["temperatures"] is None:
+        vals["temperatures"] = tuple(DEFAULT_TEMPERATURES)
+    if vals["p_grid"] is None:
+        vals["p_grid"] = (p,)
+    cfg = ExperimentConfig(**{**vals, "mode": mode})
+
+    if cfg.p_x < 1 or cfg.p_y < 1:
+        raise ConfigError("p_x and p_y must be positive")
+    if cfg.n < 1:
         raise ConfigError("n must be positive")
-    if vals["estimator"] == "kendall-sine" and vals["n"] < 2:
+    if cfg.estimator == "kendall-sine" and cfg.n < 2:
         raise ConfigError("the kendall-sine estimator needs n >= 2")
     for key in ("N", "J", "thin", "n_reps"):
         if vals[key] < 1:
             raise ConfigError(f"{key} must be positive")
-    for s in vals["seeds"]:
+    for s in cfg.seeds:
         if not 0 <= s < 2**64:
             raise ConfigError(f"seeds must be unsigned 64-bit integers, got {s}")
-    if not 0.0 < vals["lambda1"] < 1.0:
+    if not 0.0 < cfg.lambda1 < 1.0:
         raise ConfigError("lambda1 must lie in (0, 1)")
-    if not 0.0 < vals["eps"] < 1.0:
+    if not 0.0 < cfg.eps < 1.0:
         raise ConfigError("eps must lie in (0, 1)")
-    if vals["lag"] is not None and vals["lag"] < 1:
+    if cfg.lag is not None and cfg.lag < 1:
         raise ConfigError("lag must be positive")
-    if vals["n_max"] is not None:
-        if vals["n_max"] < 2:
-            raise ConfigError("n_max must be at least 2")
-        if vals["lag"] is not None and vals["n_max"] <= vals["lag"]:
-            raise ConfigError("n_max must exceed lag")
+    if cfg.n_max is not None and cfg.n_max < 2:
+        raise ConfigError("n_max must be at least 2")
 
-    temps = vals["temperatures"]
-    geo = (vals["ladder_count"], vals["ladder_ratio"])
-    if temps is not None and any(g is not None for g in geo):
-        raise ConfigError("give either temperatures or ladder_count + ladder_ratio")
-    if temps is None:
-        if any(g is not None for g in geo):
-            if any(g is None for g in geo):
-                raise ConfigError("ladder_count and ladder_ratio go together")
-            count, ratio = geo
-            if count < 1:
-                raise ConfigError("ladder_count must be positive")
-            if ratio <= 1.0:
-                raise ConfigError("ladder_ratio must exceed 1")
-            temps = tuple(ratio**i for i in range(count))
-        else:
-            temps = tuple(DEFAULT_TEMPERATURES)
     try:
-        TemperingLadder.for_dimension(p, temps)
+        TemperingLadder.for_dimension(p, cfg.temperatures)
     except DomainError as exc:
         raise ConfigError(f"invalid temperature ladder: {exc}")
 
-    if vals["q"] is not None and not 0.0 < vals["q"] < 1.0:
+    if cfg.q is not None and not 0.0 < cfg.q < 1.0:
         raise ConfigError("q must lie in (0, 1)")
     try:
-        PriorConfig(
-            rho0=vals["rho0"],
-            rho1=vals["rho1"],
-            q=vals["q"] if vals["q"] is not None else float(p) ** -1.5,
-            sigma=vals["sigma"],
-        )
+        cfg.prior()
     except DomainError as exc:
         raise ConfigError(f"invalid prior settings: {exc}")
 
     simulates = command == "simulate" or (
         mode in ("sample", "benchmark")
         and command not in ("report", "estimate-cov")
-        and vals["data_dir"] is None
+        and cfg.data_dir is None
     )
     if simulates and p % 20 != 0:
         raise ConfigError(
             f"simulated data needs p_x + p_y divisible by 20, got {p}"
         )
-    if simulates and vals["p_x"] != vals["p_y"]:
+    if simulates and cfg.p_x != cfg.p_y:
         # the population model splits p into two equal views
         raise ConfigError(
-            f"simulated data needs p_x = p_y, got {vals['p_x']} and {vals['p_y']}"
+            f"simulated data needs p_x = p_y, got {cfg.p_x} and {cfg.p_y}"
         )
 
-    p_grid = vals["p_grid"] if vals["p_grid"] is not None else (p,)
     if mode == "couple":
-        for entry in p_grid:
+        for entry in cfg.p_grid:
             if entry < 10 or entry % 10 != 0:
                 raise ConfigError(
                     f"p_grid entries must be multiples of 10, got {entry}"
                 )
-
-    resolved = {f.name: vals[f.name] for f in fields(ExperimentConfig)}
-    resolved.update(mode=mode, temperatures=temps, p_grid=p_grid)
-    return ExperimentConfig(**resolved)
+            lag, n_max = cfg.couple_limits(entry)
+            if n_max <= lag:
+                raise ConfigError("n_max must exceed lag")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -387,15 +369,21 @@ def _read_trace_csv(path: Path):
         rows = [row for row in reader if row]
     if not rows:
         raise ConfigError(f"{path} holds no states")
-    iters = np.array([int(r[0]) for r in rows], dtype=np.int64)
-    return ChainTrace(
-        delta=np.array([[int(x) for x in r[4 : 4 + p]] for r in rows], dtype=np.uint8),
-        theta=np.array([[float(x) for x in r[4 + p :]] for r in rows], dtype=float),
-        k=np.array([int(r[1]) for r in rows], dtype=np.int64),
-        rayleigh=np.array([float(r[3]) for r in rows]),
-        n_iters=int(iters[-1]),
-        iters=iters,
-    )
+    for r in rows:
+        if len(r) != len(header):
+            raise ConfigError(f"{path} has a row of {len(r)} cells, expected {len(header)}")
+    try:
+        iters = np.array([int(r[0]) for r in rows], dtype=np.int64)
+        return ChainTrace(
+            delta=np.array([[int(x) for x in r[4 : 4 + p]] for r in rows], dtype=np.uint8),
+            theta=np.array([[float(x) for x in r[4 + p :]] for r in rows], dtype=float),
+            k=np.array([int(r[1]) for r in rows], dtype=np.int64),
+            rayleigh=np.array([float(r[3]) for r in rows]),
+            n_iters=int(iters[-1]),
+            iters=iters,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"{path} has non-numeric cells: {exc}")
 
 
 def _report_dict(rep: EstimateReport, seed=None) -> dict:
@@ -462,14 +450,19 @@ def _load_data_dir(cfg: ExperimentConfig):
     if X.shape[0] != cfg.n:
         raise ConfigError(f"data has {X.shape[0]} rows but config n = {cfg.n}")
     truth_path = root / "truth.json"
-    truth_x = truth_y = None
-    if truth_path.is_file():
-        truth = _load_json(truth_path)
-        if "v_x_star" not in truth or "v_y_star" not in truth:
-            raise ConfigError(f"{truth_path} lacks v_x_star / v_y_star")
-        truth_x = np.asarray(truth["v_x_star"], dtype=float)
-        truth_y = np.asarray(truth["v_y_star"], dtype=float)
-    return Dataset(X=X, Y=Y), truth_x, truth_y
+    truth = _load_truth(truth_path) if truth_path.is_file() else (None, None)
+    return Dataset(X=X, Y=Y), *truth
+
+
+def _load_truth(path):
+    """The reference directions (v_x_star, v_y_star) of a truth JSON."""
+    truth = _load_json(Path(path))
+    if "v_x_star" not in truth or "v_y_star" not in truth:
+        raise ConfigError(f"{path} lacks v_x_star / v_y_star")
+    return (
+        np.asarray(truth["v_x_star"], dtype=float),
+        np.asarray(truth["v_y_star"], dtype=float),
+    )
 
 
 def _make_data(cfg: ExperimentConfig, data_ss):
@@ -550,26 +543,10 @@ def _acf(series: np.ndarray, max_lag: int) -> np.ndarray:
     )
 
 
-def _emit_plot(out_path: Path, draw) -> None:
-    """Best-effort static image; failure to plot never fails the run."""
-    try:
-        import matplotlib
-
-        matplotlib.use("Agg", force=True)
-        import matplotlib.pyplot as plt
-    except Exception:
-        return
-    try:
-        fig = plt.figure(figsize=(6.0, 4.0))
-        draw(fig)
-        fig.savefig(out_path, dpi=120)
-    except Exception:
-        pass
-    finally:
-        plt.close("all")
-
-
 def _echo_config(cfg: ExperimentConfig, command: str, out_dir: Path) -> None:
+    # every subcommand writes this first, after its computation, so a run
+    # that fails leaves no output directory
+    out_dir.mkdir(parents=True, exist_ok=True)
     _dump_json(out_dir / "config_echo.json", {"command": command, **asdict(cfg)})
 
 
@@ -581,7 +558,6 @@ def cmd_simulate(cfg: ExperimentConfig, args, out_dir: Path) -> None:
     seed = cfg.seeds[0]
     data_ss, _ = np.random.SeedSequence(int(seed)).spawn(2)
     model, data = _make_data(cfg, data_ss)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _echo_config(cfg, "simulate", out_dir)
     _write_csv(
         out_dir / "X.csv",
@@ -615,7 +591,6 @@ def cmd_estimate_cov(cfg: ExperimentConfig, args, out_dir: Path) -> None:
         raise ConfigError("estimate-cov needs data_dir")
     data, _, _ = _load_data_dir(cfg)
     gep = estimate_gep(data, method=cfg.estimator)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _echo_config(cfg, "estimate-cov", out_dir)
     _write_matrix_csv(out_dir / "gep_A.csv", gep.A)
     _write_matrix_csv(out_dir / "gep_B.csv", gep.B)
@@ -625,7 +600,7 @@ def cmd_estimate_cov(cfg: ExperimentConfig, args, out_dir: Path) -> None:
     )
 
 
-def _metrics_rows(rep_dicts) -> list[list[str]]:
+def _write_metrics_csv(path: Path, rep_dicts) -> None:
     rows = []
     for d in rep_dicts:
         rows.append(
@@ -633,12 +608,11 @@ def _metrics_rows(rep_dicts) -> list[list[str]]:
             + [str(d["n_samples"]), str(d["n_skipped"])]
             + [_fmt(d[m]) if m in d else "" for m in _METRICS]
         )
-    return rows
+    _write_csv(path, ["seed", "n_samples", "n_skipped", *_METRICS], rows)
 
 
 def cmd_sample(cfg: ExperimentConfig, args, out_dir: Path) -> None:
     results = _map_tasks(args.jobs, _sample_worker, [(cfg, s) for s in cfg.seeds])
-    out_dir.mkdir(parents=True, exist_ok=True)
     _echo_config(cfg, "sample", out_dir)
     rep_dicts = []
     for seed, trace, report in results:
@@ -653,11 +627,7 @@ def cmd_sample(cfg: ExperimentConfig, args, out_dir: Path) -> None:
             "replications": rep_dicts,
         },
     )
-    _write_csv(
-        out_dir / "metrics.csv",
-        ["seed", "n_samples", "n_skipped", *_METRICS],
-        _metrics_rows(rep_dicts),
-    )
+    _write_metrics_csv(out_dir / "metrics.csv", rep_dicts)
 
     # diagnostics for the first seed: autocorrelation of the quotient series
     # and of the most-included coordinate's loading
@@ -672,25 +642,6 @@ def cmd_sample(cfg: ExperimentConfig, args, out_dir: Path) -> None:
         [[str(h), _fmt(acf_r[h]), _fmt(acf_t[h])] for h in range(max_lag + 1)],
     )
 
-    def draw_acf(fig):
-        ax = fig.subplots()
-        ax.plot(np.arange(max_lag + 1), acf_r, label="quotient")
-        ax.plot(np.arange(max_lag + 1), acf_t, label=f"loading {top}")
-        ax.set_xlabel("lag")
-        ax.set_ylabel("autocorrelation")
-        ax.axhline(0.0, color="gray", lw=0.5)
-        ax.legend()
-
-    _emit_plot(out_dir / "acf.png", draw_acf)
-
-    def draw_trace(fig):
-        ax = fig.subplots()
-        ax.plot(trace0.rayleigh)
-        ax.set_xlabel("iteration")
-        ax.set_ylabel("selected quotient")
-
-    _emit_plot(out_dir / "quotient_trace.png", draw_trace)
-
 
 def cmd_couple(cfg: ExperimentConfig, args, out_dir: Path) -> None:
     base = np.random.SeedSequence(int(cfg.seeds[0]))
@@ -703,8 +654,7 @@ def cmd_couple(cfg: ExperimentConfig, args, out_dir: Path) -> None:
         px = model.p_x
         S = model.Sigma
         gep = assemble_gep(S[:px, :px], S[px:, px:], S[:px, px:], n=cfg.n)
-        lag = cfg.lag if cfg.lag is not None else p
-        n_max = cfg.n_max if cfg.n_max is not None else 10 * p + 1000
+        lag, n_max = cfg.couple_limits(p)
         prior = cfg.prior(p)
         tasks = [
             (gep, prior, cfg.temperatures, n_max, min(cfg.J, p), lag, child)
@@ -731,7 +681,6 @@ def cmd_couple(cfg: ExperimentConfig, args, out_dir: Path) -> None:
                 tv_rows.append([str(p), str(int(t)), _fmt(bound)])
         per_p.append(entry)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     _echo_config(cfg, "couple", out_dir)
     _write_csv(out_dir / "meeting.csv", ["replication", "p", "L", "tau"], meeting_rows)
     _write_csv(out_dir / "tv.csv", ["p", "t", "bound"], tv_rows)
@@ -740,18 +689,6 @@ def cmd_couple(cfg: ExperimentConfig, args, out_dir: Path) -> None:
         {"command": "couple", "config": {**asdict(cfg)}, "dimensions": per_p},
     )
 
-    groups = [[t for t in e["taus"] if t is not None] for e in per_p]
-    labels = [str(e["p"]) for e in per_p]
-
-    def draw_box(fig):
-        ax = fig.subplots()
-        ax.boxplot([g if g else [0] for g in groups], tick_labels=labels)
-        ax.set_xlabel("dimension p")
-        ax.set_ylabel("meeting time")
-
-    if any(groups):
-        _emit_plot(out_dir / "meetings_boxplot.png", draw_box)
-
 
 def cmd_report(cfg: ExperimentConfig, args, out_dir: Path) -> None:
     trace = _read_trace_csv(Path(args.trace))
@@ -759,29 +696,18 @@ def cmd_report(cfg: ExperimentConfig, args, out_dir: Path) -> None:
         raise ConfigError(
             f"trace dimension {trace.p} does not match config p = {cfg.p}"
         )
-    truth_x = truth_y = None
-    if args.truth is not None:
-        truth = _load_json(Path(args.truth))
-        if "v_x_star" not in truth or "v_y_star" not in truth:
-            raise ConfigError(f"{args.truth} lacks v_x_star / v_y_star")
-        truth_x = np.asarray(truth["v_x_star"], dtype=float)
-        truth_y = np.asarray(truth["v_y_star"], dtype=float)
+    truth_x, truth_y = (None, None) if args.truth is None else _load_truth(args.truth)
 
     # the trace carries its iteration numbers, so a thinned trace keeps the
     # burn-in boundary of the run it came from
     report = build_report(trace, cfg.p_x, truth_x=truth_x, truth_y=truth_y)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _echo_config(cfg, "report", out_dir)
     d = _report_dict(report)
     _dump_json(
         out_dir / "report.json",
         {"command": "report", "config": {**asdict(cfg)}, "report": d},
     )
-    _write_csv(
-        out_dir / "metrics.csv",
-        ["seed", "n_samples", "n_skipped", *_METRICS],
-        _metrics_rows([d]),
-    )
+    _write_metrics_csv(out_dir / "metrics.csv", [d])
 
 
 def cmd_benchmark(cfg: ExperimentConfig, args, out_dir: Path) -> None:
@@ -815,7 +741,6 @@ def cmd_benchmark(cfg: ExperimentConfig, args, out_dir: Path) -> None:
         row.append("" if trapped is None else _fmt(trapped))
         table_rows.append(row)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     _echo_config(cfg, "benchmark", out_dir)
     _dump_json(out_dir / "report.json", payload)
     _write_csv(
@@ -881,21 +806,11 @@ def _resolve_config(args) -> ExperimentConfig:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if getattr(args, "jobs", 1) < 1:
-        print(
-            json.dumps({"error": "ConfigError", "message": "jobs must be positive"}, sort_keys=True),
-            file=sys.stderr,
-        )
-        return 2
     try:
+        if args.jobs < 1:
+            raise ConfigError("jobs must be positive")
         cfg = _resolve_config(args)
         _COMMANDS[args.command](cfg, args, Path(args.out))
-    except ConfigError as exc:
-        print(
-            json.dumps({"error": "ConfigError", "message": str(exc)}, sort_keys=True),
-            file=sys.stderr,
-        )
-        return 2
     except StccaError as exc:
         print(
             json.dumps(
@@ -903,7 +818,7 @@ def main(argv=None) -> int:
             ),
             file=sys.stderr,
         )
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
     return 0
 
 

@@ -14,12 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapt import (
-    DEFAULT_FLATNESS_TOL,
-    INITIAL_WL_INCREMENT,
-    AdaptiveHook,
-    AdaptState,
-)
+from .adapt import AdaptiveHook, AdaptState
 from .covariance import GepPair
 from .errors import DomainError, EmptyInputError
 from .model import (
@@ -50,8 +45,6 @@ class CoupledState:
     chain1: ChainState
     chain2: ChainState
     lag: int
-    met: bool = False
-    meeting_iter: int | None = None
 
     def __post_init__(self) -> None:
         if self.lag < 1:
@@ -256,9 +249,6 @@ def lagged_meeting_time(
     subset_size: int | None = None,
     lag: int | None = None,
     seed=None,
-    adaptive: bool = True,
-    w: float = DEFAULT_FLATNESS_TOL,
-    a_wl: float = INITIAL_WL_INCREMENT,
 ) -> int | None:
     """First iteration t > lag at which the leading chain equals the lagged
     chain exactly, or None if the pair never meets within n_max iterations.
@@ -267,7 +257,7 @@ def lagged_meeting_time(
     under the coupled kernel. Both chains are initialized independently from
     the sampler's initial law; the initializations, the warm-up, and the
     coupled phase each consume their own substream of `seed`, and adaptation
-    (on by default) keeps a single shared state driven by the leading chain.
+    keeps a single shared state driven by the leading chain.
     """
     p = gep.p
     if n_max is None:
@@ -285,10 +275,7 @@ def lagged_meeting_time(
     seq_x, seq_y, seq_solo, seq_pair = entropy.spawn(4)
 
     ladder = TemperingLadder.for_dimension(p, temperatures)
-    hook = None
-    if adaptive:
-        adapt = AdaptState.for_ladder(ladder, a_wl=a_wl, w=w)
-        hook = AdaptiveHook(adapt, ladder)
+    hook = AdaptiveHook(AdaptState.for_ladder(ladder), ladder)
 
     x = initial_state(p, np.random.default_rng(seq_x))
     y = initial_state(p, np.random.default_rng(seq_y))
@@ -302,8 +289,6 @@ def lagged_meeting_time(
     for t in range(lag + 1, n_max + 1):
         coupled_step(pair, gep, prior, ladder, subset_size, rng_pair, adapt=hook)
         if pair.is_identical():
-            pair.met = True
-            pair.meeting_iter = t
             return t
     return None
 
@@ -332,7 +317,6 @@ class TvCurve:
 
     t_grid: np.ndarray
     bound: np.ndarray
-    replications: int
 
     def mixing_time(self, eps: float = 0.1) -> int | None:
         """First grid point where the bound drops below eps."""
@@ -362,4 +346,4 @@ def tv_bound_curve(meeting_times, lag: int, t_grid=None) -> TvCurve:
     excess = taus[None, :] - lag - t_grid[:, None]
     ceils = -(-excess // lag)
     bound = np.maximum(ceils, 0).mean(axis=1)
-    return TvCurve(t_grid=t_grid, bound=bound, replications=int(taus.size))
+    return TvCurve(t_grid=t_grid, bound=bound)

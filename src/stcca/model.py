@@ -45,11 +45,11 @@ class PriorConfig:
         object.__setattr__(self, "a", float(np.log(self.q / (1.0 - self.q))))
 
     @classmethod
-    def defaults(cls, p: int, sigma: float = DEFAULT_SIGMA) -> "PriorConfig":
+    def defaults(cls, p: int) -> "PriorConfig":
         """Standard hyper-parameters at dimension p: q = p^-1.5."""
         if p < 2:
             raise DomainError("p must be at least 2")
-        return cls(rho0=DEFAULT_RHO0, rho1=DEFAULT_RHO1, q=float(p) ** -1.5, sigma=sigma)
+        return cls(q=float(p) ** -1.5)
 
 
 @dataclass
@@ -320,11 +320,3 @@ class QuadraticCache:
             self.a_dot -= theta_j * self._gep.A[j]
             self.b_dot -= theta_j * self._gep.B[j]
             self.n_active -= 1
-
-    def rayleigh_current(self) -> float:
-        """Quotient at the current masked vector; -inf on the empty model."""
-        if self.n_active == 0:
-            return -np.inf
-        if self.qb <= 0.0:
-            raise UndefinedQuotientError("theta' B theta <= 0 at the cached state")
-        return self.qa / self.qb

@@ -285,7 +285,6 @@ def _unit_reference(v, name: str) -> np.ndarray:
 def build_report(
     trace,
     p_x: int,
-    n_iters: int | None = None,
     truth_x=None,
     truth_y=None,
 ) -> EstimateReport:
@@ -300,7 +299,7 @@ def build_report(
     """
     if (truth_x is None) != (truth_y is None):
         raise DomainError("supply both reference directions or neither")
-    samples = extract_posterior_samples(trace, n_iters)
+    samples = extract_posterior_samples(trace)
     delta = np.asarray(trace.delta)
     delta_bar = support_mode(delta[samples])
     estimates = per_sample_estimates(trace, samples, p_x)

@@ -269,7 +269,6 @@ class ChainTrace:
     k: np.ndarray
     rayleigh: np.ndarray
     n_iters: int
-    seed: object = None
     diagnostics: dict = field(default_factory=dict)
     iters: np.ndarray | None = None
 
@@ -321,7 +320,6 @@ def run_chain(
     n_iters: int,
     subset_size: int | None = None,
     seed=None,
-    rng=None,
     adapt=None,
 ) -> ChainTrace:
     """Run the full sampler for n_iters iterations, recording every state."""
@@ -330,8 +328,7 @@ def run_chain(
     p = gep.p
     if subset_size is None:
         subset_size = min(DEFAULT_SUBSET_SIZE, p)
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
 
     state = initial_state(p, rng)
     delta_tr = np.empty((n_iters + 1, p), dtype=np.uint8)
@@ -363,6 +360,5 @@ def run_chain(
         k=k_tr,
         rayleigh=r_tr,
         n_iters=n_iters,
-        seed=seed,
         diagnostics={"alpha": alpha_tr, "k_mala": k_mala_tr},
     )

@@ -31,26 +31,14 @@ class TestConfigValidation:
         assert cfg.mode == "sample"
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
-            validate_config({"p_q": 3}, "sample")
+        # `temperatures` is the one way to give a ladder
+        for raw in ({"p_q": 3}, {"ladder_count": 3}):
+            with pytest.raises(ConfigError, match="unknown config keys"):
+                validate_config(raw, "sample")
 
     def test_mode_subcommand_conflict(self):
         with pytest.raises(ConfigError):
             validate_config({"mode": "couple"}, "sample")
-
-    def test_geometric_ladder(self):
-        cfg = validate_config(
-            {"ladder_count": 3, "ladder_ratio": 1.2, "p_x": 10, "p_y": 10},
-            "sample",
-        )
-        assert np.allclose(cfg.temperatures, [1.0, 1.2, 1.44])
-        with pytest.raises(ConfigError):
-            validate_config({"ladder_count": 3}, "sample")
-        with pytest.raises(ConfigError):
-            validate_config(
-                {"ladder_count": 3, "ladder_ratio": 1.2, "temperatures": [1.0, 2.0]},
-                "sample",
-            )
 
     def test_bad_ladder_rejected(self):
         with pytest.raises(ConfigError):
@@ -83,8 +71,15 @@ class TestConfigValidation:
             validate_config({"lag": 9, "n_max": 9}, "couple")
 
     def test_couple_grid_checked(self):
-        with pytest.raises(ConfigError):
-            validate_config({"p_grid": [15]}, "couple")
+        # lag defaults to each grid entry and n_max to 10p + 1000, so the
+        # check runs on the values each entry will use
+        for raw in (
+            {"p_grid": [15]},
+            {"p_grid": [20, 40], "n_max": 30},
+            {"p_grid": [20], "lag": 5000},
+        ):
+            with pytest.raises(ConfigError):
+                validate_config(raw, "couple")
         cfg = validate_config({"p_x": 25, "p_y": 25}, "couple")
         assert cfg.p_grid == (50,)
 
@@ -140,6 +135,28 @@ class TestErrorSurface:
         assert rc != 0
         record = json.loads(capsys.readouterr().err)
         assert "error" in record and "message" in record
+
+    @pytest.mark.parametrize("damage", ["truncate", "non_numeric"])
+    def test_malformed_trace_row_structured_error(self, tmp_path, capsys, damage):
+        run_dir = tmp_path / "run"
+        assert run_cli(SMALL_SAMPLE + ["--seed", 0, "--out", run_dir]) == 0
+        trace = run_dir / "trace_s0.csv"
+        lines = trace.read_text().splitlines()
+        cells = lines[5].split(",")
+        if damage == "truncate":
+            cells = cells[:-3]
+        else:
+            cells[4 + 20] = "abc"
+        lines[5] = ",".join(cells)
+        trace.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = run_cli(["report", "--p_x", 10, "--p_y", 10,
+                      "--trace", trace, "--out", tmp_path / "rep"])
+        assert rc == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert str(trace) in record["message"]
+        assert not (tmp_path / "rep").exists()
 
 
 class TestSamplePipeline:

@@ -403,14 +403,3 @@ class TestQuadraticCache:
         r_off, r_on = cache.branch_rayleigh(1, float(state.theta[1]), True)
         assert r_off == -np.inf
         assert np.isfinite(r_on)
-
-    def test_rayleigh_current_matches_masked(self):
-        rng = np.random.default_rng(36)
-        g = random_gep(rng, 3, 3, n=30)
-        delta = np.array([1, 1, 0, 0, 1, 0], dtype=np.uint8)
-        th = rng.standard_normal(6)
-        state = ChainState(delta=delta, theta=th)
-        cache = QuadraticCache(g, state)
-        assert cache.rayleigh_current() == pytest.approx(
-            rayleigh_selected(state, g), rel=1e-12
-        )
