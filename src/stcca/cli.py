@@ -374,16 +374,18 @@ def _read_trace_csv(path: Path):
             raise ConfigError(f"{path} has a row of {len(r)} cells, expected {len(header)}")
     try:
         iters = np.array([int(r[0]) for r in rows], dtype=np.int64)
-        return ChainTrace(
-            delta=np.array([[int(x) for x in r[4 : 4 + p]] for r in rows], dtype=np.uint8),
-            theta=np.array([[float(x) for x in r[4 + p :]] for r in rows], dtype=float),
-            k=np.array([int(r[1]) for r in rows], dtype=np.int64),
-            rayleigh=np.array([float(r[3]) for r in rows]),
-            n_iters=int(iters[-1]),
-            iters=iters,
-        )
+        delta = [[int(x) for x in r[4 : 4 + p]] for r in rows]
+        theta = np.array([[float(x) for x in r[4 + p :]] for r in rows], dtype=float)
+        k = np.array([int(r[1]) for r in rows], dtype=np.int64)
+        rayleigh = np.array([float(r[3]) for r in rows])
     except ValueError as exc:
         raise ConfigError(f"{path} has non-numeric cells: {exc}")
+    if not set().union(*delta) <= {0, 1}:
+        raise ConfigError(f"{path} has support cells outside {{0, 1}}")
+    return ChainTrace(
+        delta=np.array(delta, dtype=np.uint8), theta=theta, k=k, rayleigh=rayleigh,
+        n_iters=int(iters[-1]), iters=iters,
+    )
 
 
 def _report_dict(rep: EstimateReport, seed=None) -> dict:

@@ -22,8 +22,9 @@ from .errors import (
 
 DEFAULT_PSD_FLOOR = 1e-8
 
-# pair-chunk size for the O(n^2) Kendall enumeration; bounds peak memory
-_KENDALL_CHUNK = 1 << 20
+# pair-chunk size for the O(n^2) Kendall enumeration; bounds peak memory at
+# 4 * d bytes per pair, and keeps each chunk's float32 sign sums exact (< 2**24)
+_KENDALL_CHUNK = 1 << 13
 
 
 @dataclass
@@ -114,7 +115,9 @@ def kendall_tau_matrix(data: np.ndarray) -> np.ndarray:
 
     Exact pair enumeration: tau(j,j') = (concordant - discordant) / C(n,2),
     computed as an inner product of pairwise difference signs. O(n^2 d) work,
-    chunked over sample pairs to bound memory.
+    chunked over sample pairs to bound memory. The signs come from dense
+    column ranks held in float32, so ties (and +-0.0) stay ties and every
+    chunk's sums are exact integers.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
@@ -122,12 +125,20 @@ def kendall_tau_matrix(data: np.ndarray) -> np.ndarray:
     n, d = data.shape
     if n < 2:
         raise InsufficientDataError("Kendall tau needs at least 2 samples")
+    if not np.isfinite(data).all():
+        raise DomainError("data contains non-finite entries")
+    order = np.argsort(data, axis=0)
+    ordered = np.take_along_axis(data, order, axis=0)
+    dense = np.zeros((n, d), dtype=np.float32)
+    np.cumsum(ordered[1:] != ordered[:-1], axis=0, dtype=np.float32, out=dense[1:])
+    ranks = np.empty_like(dense)
+    np.put_along_axis(ranks, order, dense, axis=0)
     rows, cols = np.triu_indices(n, k=1)
     n_pairs = rows.size
     acc = np.zeros((d, d))
     for start in range(0, n_pairs, _KENDALL_CHUNK):
         sl = slice(start, min(start + _KENDALL_CHUNK, n_pairs))
-        signs = np.sign(data[rows[sl], :] - data[cols[sl], :])
+        signs = np.sign(ranks[rows[sl]] - ranks[cols[sl]])
         acc += signs.T @ signs
     tau = acc / n_pairs
     np.fill_diagonal(tau, 1.0)
@@ -177,9 +188,11 @@ def assemble_gep(
 ) -> GepPair:
     """Place (Sx, Sy, Sxy) into the (A, B) pair.
 
-    rank_based=True sends B through psd_repair; rank-based correlation
-    estimates can be indefinite and the quotient denominator must stay
-    positive. Sample-covariance B is left untouched.
+    rank_based=True sends Sx and Sy through psd_repair; rank-based
+    correlation estimates can be indefinite and the quotient denominator must
+    stay positive. The spectrum of the block-diagonal B is the union of its
+    blocks' spectra, so repairing the blocks repairs B. Sample-covariance B is
+    left untouched.
     """
     Sx = np.asarray(Sx, dtype=float)
     Sy = np.asarray(Sy, dtype=float)
@@ -193,6 +206,8 @@ def assemble_gep(
         raise DimensionMismatchError(
             f"Sxy must be {p_x} x {p_y}, got {Sxy.shape}"
         )
+    if rank_based:
+        Sx, Sy = psd_repair(Sx), psd_repair(Sy)
     p = p_x + p_y
     A = np.zeros((p, p))
     A[:p_x, p_x:] = Sxy
@@ -200,8 +215,6 @@ def assemble_gep(
     B = np.zeros((p, p))
     B[:p_x, :p_x] = Sx
     B[p_x:, p_x:] = Sy
-    if rank_based:
-        B = psd_repair(B)
     return GepPair(A=A, B=B, p_x=p_x, p_y=p_y, n=n)
 
 

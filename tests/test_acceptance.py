@@ -14,6 +14,7 @@ import time
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import eigh
 from scipy.stats import chi2_contingency, fisher_exact, ks_2samp, norm
@@ -407,6 +408,7 @@ def _tempered_trapped(seed, model, v2):
 COMPETING_LADDER = tuple(2.0 ** (i / 2) for i in range(5))
 
 
+@pytest.mark.slow
 def test_acceptance_5_tempering_recovers_support(capsys):
     tempered = [_recovery_run(s, DEFAULT_TEMPERATURES, 10_000) for s in range(10)]
     mses = np.array([r.mse_x for r in tempered])
@@ -456,6 +458,7 @@ def test_acceptance_5_tempering_recovers_support(capsys):
     )
 
 
+@pytest.mark.slow
 def test_acceptance_6_truncation_pipeline(capsys):
     model = build_population_cov(100)
     worst = 0.0

@@ -136,7 +136,8 @@ class TestErrorSurface:
         record = json.loads(capsys.readouterr().err)
         assert "error" in record and "message" in record
 
-    @pytest.mark.parametrize("damage", ["truncate", "non_numeric"])
+    # "300", "-1" and "2" are support cells outside {0, 1}
+    @pytest.mark.parametrize("damage", ["truncate", "non_numeric", "300", "-1", "2"])
     def test_malformed_trace_row_structured_error(self, tmp_path, capsys, damage):
         run_dir = tmp_path / "run"
         assert run_cli(SMALL_SAMPLE + ["--seed", 0, "--out", run_dir]) == 0
@@ -145,8 +146,10 @@ class TestErrorSurface:
         cells = lines[5].split(",")
         if damage == "truncate":
             cells = cells[:-3]
-        else:
+        elif damage == "non_numeric":
             cells[4 + 20] = "abc"
+        else:
+            cells[4 + 3] = damage
         lines[5] = ",".join(cells)
         trace.write_text("\n".join(lines) + "\n")
         capsys.readouterr()

@@ -3,8 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stcca import covariance
 from stcca.covariance import (
+    DEFAULT_PSD_FLOOR,
     Dataset,
     assemble_gep,
     estimate_gep,
@@ -42,6 +46,27 @@ def brute_force_kendall(x: np.ndarray, y: np.ndarray) -> float:
         for j in range(i + 1, n):
             s += np.sign(x[i] - x[j]) * np.sign(y[i] - y[j])
     return s / (n * (n - 1) / 2)
+
+
+def sign_product_kendall(Z: np.ndarray) -> np.ndarray:
+    """Float64 oracle: one unchunked product of every pair's difference signs."""
+    rows, cols = np.triu_indices(Z.shape[0], k=1)
+    signs = np.sign(Z[rows] - Z[cols])
+    tau = signs.T @ signs / rows.size
+    np.fill_diagonal(tau, 1.0)
+    return (tau + tau.T) / 2.0
+
+
+def tie_heavy_data(kind: str, n: int, d: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "integers":
+        return rng.integers(-3, 4, size=(n, d)).astype(float)
+    z = rng.standard_normal((n, d))
+    if kind == "truncated":
+        return np.where(z > 0.0, z, 0.0)
+    # mixed signed zeros among a few repeated values
+    zeros = np.copysign(0.0, z)
+    return np.where(rng.random((n, d)) < 0.5, zeros, np.round(z))
 
 
 class TestDataset:
@@ -118,6 +143,28 @@ class TestKendallTau:
         with pytest.raises(InsufficientDataError):
             kendall_tau_matrix(np.array([[1.0, 2.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        Z = np.arange(12.0).reshape(4, 3)
+        Z[2, 1] = bad
+        with pytest.raises(DomainError):
+            kendall_tau_matrix(Z)
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        st.integers(2, 60),
+        st.integers(1, 12),
+        st.sampled_from(["integers", "truncated", "signed_zeros"]),
+        st.sampled_from([1, 3, covariance._KENDALL_CHUNK]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_equals_sign_product_oracle(self, n, d, kind, chunk, seed):
+        Z = tie_heavy_data(kind, n, d, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(covariance, "_KENDALL_CHUNK", chunk)
+            tau = kendall_tau_matrix(Z)
+        assert np.array_equal(tau, sign_product_kendall(Z))
+
 
 class TestSineBridge:
     def test_endpoints_and_midpoint(self):
@@ -192,6 +239,23 @@ class TestAssembleGep:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
             assemble_gep(np.eye(2), np.eye(2), np.zeros((3, 2)))
+
+    def test_rank_based_repairs_each_block(self):
+        # n < p makes the Kendall-sine matrix indefinite in both blocks
+        rng = np.random.default_rng(29)
+        p, px = 60, 30
+        S = sine_bridge(kendall_tau_matrix(rng.standard_normal((20, p))))
+        Sx, Sy, Sxy = S[:px, :px], S[px:, px:], S[:px, px:]
+        assert scipy.linalg.eigvalsh(Sx)[0] < 0 and scipy.linalg.eigvalsh(Sy)[0] < 0
+        plain = assemble_gep(Sx, Sy, Sxy)
+        gep = assemble_gep(Sx, Sy, Sxy, rank_based=True)
+        assert np.array_equal(gep.A, plain.A)
+        assert not gep.B[:px, px:].any() and not gep.B[px:, :px].any()
+        assert np.array_equal(gep.B[:px, :px], psd_repair(Sx))
+        assert np.array_equal(gep.B[px:, px:], psd_repair(Sy))
+        slack = 64 * np.finfo(float).eps * p * np.abs(gep.B).max()
+        assert scipy.linalg.eigvalsh(gep.B)[0] >= DEFAULT_PSD_FLOOR - slack
+        assert np.abs(gep.B - psd_repair(plain.B)).max() <= 1e-12
 
 
 class TestEstimateGep:
