@@ -60,25 +60,28 @@ class CoupledState:
         )
 
 
+def mirrors(pair: CoupledState) -> bool:
+    """Whether the loading move couples the jointly active block maximally
+    (one rung, a shared active coordinate); only then is u_couple drawn."""
+    return pair.chain1.k == pair.chain2.k and bool(
+        np.any(pair.chain1.delta.astype(bool) & pair.chain2.delta.astype(bool))
+    )
+
+
 def coupled_gibbs_step(
     pair: CoupledState,
     gep: GepPair,
     prior: PriorConfig,
     ladder: TemperingLadder,
     subset: np.ndarray,
-    rng,
+    uniforms: np.ndarray,
     cache1: QuadraticCache | None = None,
     cache2: QuadraticCache | None = None,
 ) -> None:
     """Support sweep over a common subset with one shared uniform per
     coordinate; each chain thresholds against its own success probability."""
-    uniforms = rng.random(subset.size)
-    gibbs_update_delta(
-        pair.chain1, gep, prior, ladder, subset, rng, cache=cache1, uniforms=uniforms
-    )
-    gibbs_update_delta(
-        pair.chain2, gep, prior, ladder, subset, rng, cache=cache2, uniforms=uniforms
-    )
+    gibbs_update_delta(pair.chain1, gep, prior, ladder, subset, uniforms, cache=cache1)
+    gibbs_update_delta(pair.chain2, gep, prior, ladder, subset, uniforms, cache=cache2)
 
 
 def coupled_theta_step(
@@ -86,7 +89,9 @@ def coupled_theta_step(
     gep: GepPair,
     prior: PriorConfig,
     ladder: TemperingLadder,
-    rng,
+    normals: np.ndarray,
+    u_couple: float | None,
+    accept_u: float,
 ):
     """Loading update for both chains from one pool of shared normals.
 
@@ -98,6 +103,10 @@ def coupled_theta_step(
     maximally with a reflected residual, so proposals can coincide exactly;
     otherwise the shared-index part reuses common noise. One acceptance
     uniform serves both chains.
+
+    `normals` holds p standard normals: first those of the coordinates not
+    active in both chains, then the jointly active block's. u_couple is read
+    only when `mirrors(pair)`.
 
     Returns (alpha1, alpha2, r1, r2) with each chain's acceptance probability
     and post-move selected-block quotient.
@@ -114,14 +123,10 @@ def coupled_theta_step(
     eta1 = float(ladder.step_sizes[c1.k - 1])
     eta2 = float(ladder.step_sizes[c2.k - 1])
 
-    # shared draws, fixed order so the stream layout is part of the contract
     z_full = np.zeros(c1.p)
     not_g11 = np.flatnonzero(~g11)
-    z_full[not_g11] = rng.standard_normal(not_g11.size)
-    xi_base = rng.standard_normal(int(g11.sum()))
-    mirror = c1.k == c2.k and xi_base.size > 0
-    u_couple = float(rng.random()) if mirror else None
-    accept_u = float(rng.random())
+    z_full[not_g11] = normals[: not_g11.size]
+    xi_base = normals[not_g11.size :]
 
     c1.theta[~d1] = math.sqrt(t1 / prior.rho0) * z_full[~d1]
     c2.theta[~d2] = math.sqrt(t2 / prior.rho0) * z_full[~d2]
@@ -148,7 +153,7 @@ def coupled_theta_step(
     # the jointly active components are coupled below
     prop2 = np.empty(sel2.size)
     prop2[~in11_2] = mu2[~in11_2] + s2 * z_full[sel2[~in11_2]]
-    if mirror:
+    if mirrors(pair):
         # equal step scale on the shared components: maximal coupling of the
         # two Gaussian blocks, residual mass handled by reflection. A copied
         # block makes the shared components coincide exactly, which is what
@@ -182,26 +187,15 @@ def coupled_temperature_step(
     gep: GepPair,
     prior: PriorConfig,
     ladder: TemperingLadder,
-    rng,
-    log_post1: float | None = None,
-    log_post2: float | None = None,
-    w: float | None = None,
-    u: float | None = None,
+    w: float | None,
+    u: float | None,
+    log_post1: float,
+    log_post2: float,
 ):
     """Temperature move for both chains from one direction draw and one
     acceptance draw; each chain tests its own ratio. Returns (k1, k2)."""
-    if ladder.K == 1:
-        return pair.chain1.k, pair.chain2.k
-    if w is None:
-        w = float(rng.random())
-    if u is None:
-        u = float(rng.random())
-    k1 = temperature_update(
-        pair.chain1, gep, prior, ladder, rng, log_post=log_post1, w=w, u=u
-    )
-    k2 = temperature_update(
-        pair.chain2, gep, prior, ladder, rng, log_post=log_post2, w=w, u=u
-    )
+    k1 = temperature_update(pair.chain1, gep, prior, ladder, w, u, log_post1)
+    k2 = temperature_update(pair.chain2, gep, prior, ladder, w, u, log_post2)
     return k1, k2
 
 
@@ -218,23 +212,31 @@ def coupled_step(
     coupled loading update, coupled temperature move. Adaptation, when
     attached, is driven by chain1 alone so both chains see one kernel.
 
-    Returns (alpha1, alpha2).
+    The draws come first, in the solo chain's order, except that u_couple
+    is drawn after the sweep, when `mirrors(pair)`. Returns (alpha1, alpha2).
     """
     subset = draw_subset(gep.p, subset_size, rng)
+    uniforms = rng.random(subset.size)
+    normals = rng.standard_normal(gep.p)
+
     cache1 = QuadraticCache(gep, pair.chain1)
     cache2 = QuadraticCache(gep, pair.chain2)
     coupled_gibbs_step(
-        pair, gep, prior, ladder, subset, rng, cache1=cache1, cache2=cache2
+        pair, gep, prior, ladder, subset, uniforms, cache1=cache1, cache2=cache2
     )
 
+    u_couple = float(rng.random()) if mirrors(pair) else None
+    accept_u = float(rng.random())
+    w, u = rng.random(2).tolist() if ladder.K > 1 else (None, None)
+
     k_mala = pair.chain1.k
-    alpha1, alpha2, r1, r2 = coupled_theta_step(pair, gep, prior, ladder, rng)
+    alpha1, alpha2, r1, r2 = coupled_theta_step(
+        pair, gep, prior, ladder, normals, u_couple, accept_u
+    )
 
     lp1 = log_quasi_posterior(pair.chain1, gep, prior, r_sel=r1)
     lp2 = log_quasi_posterior(pair.chain2, gep, prior, r_sel=r2)
-    coupled_temperature_step(
-        pair, gep, prior, ladder, rng, log_post1=lp1, log_post2=lp2
-    )
+    coupled_temperature_step(pair, gep, prior, ladder, w, u, lp1, lp2)
 
     if adapt is not None:
         adapt.after_iteration(pair.chain1, k_mala, alpha1)

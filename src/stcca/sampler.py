@@ -37,15 +37,17 @@ def _sigmoid(x: float) -> float:
 
 
 def draw_subset(p: int, size: int, rng) -> np.ndarray:
-    """Uniform without-replacement subset via partial Fisher-Yates, O(size)."""
+    """Uniform without-replacement subset via partial Fisher-Yates. One
+    bounded-integer call draws the offsets: the same values, and the same
+    generator state after, as one scalar `rng.integers(p - i)` per position."""
     if size < 0:
         raise DomainError("subset size must be nonnegative")
     size = min(size, p)
-    idx = np.arange(p)
-    for i in range(size):
-        j = i + int(rng.integers(p - i))
+    idx = list(range(p))
+    for i, r in enumerate(rng.integers(0, p - np.arange(size)).tolist()):
+        j = i + r
         idx[i], idx[j] = idx[j], idx[i]
-    return idx[:size].copy()
+    return np.array(idx[:size], dtype=np.int64)
 
 
 def _flip_log_odds(
@@ -92,15 +94,12 @@ def gibbs_update_delta(
     prior: PriorConfig,
     ladder: TemperingLadder,
     subset: np.ndarray,
-    rng,
+    uniforms: np.ndarray,
     cache: QuadraticCache | None = None,
-    uniforms: np.ndarray | None = None,
 ) -> None:
-    """One sweep of single-coordinate flips over `subset`, in place.
-
-    Each coordinate consumes exactly one uniform, drawn here unless supplied
-    (the coupled kernel feeds both chains the same array).
-    """
+    """One sweep of single-coordinate flips over `subset`, in place: j =
+    subset[i] is on afterwards exactly when uniforms[i] < q_j, its success
+    probability, for uniforms in [0, 1) (coupled chains share the array)."""
     quot_coef = quasi_scale(gep, prior)
     if cache is None:
         cache = QuadraticCache(gep, state)
@@ -112,9 +111,7 @@ def gibbs_update_delta(
         theta_j = float(theta[j])
         selected = delta[j] == 1
         ell = _flip_log_odds(cache, j, theta_j, selected, prior, quot_coef, t_k)
-        q_j = _sigmoid(ell)
-        u = float(uniforms[i]) if uniforms is not None else float(rng.random())
-        now = u <= q_j
+        now = float(uniforms[i]) < _sigmoid(ell)
         if now != selected:
             delta[j] = 1 if now else 0
             cache.commit_flip(j, theta_j, now)
@@ -154,18 +151,16 @@ def mala_update_theta(
     gep: GepPair,
     prior: PriorConfig,
     ladder: TemperingLadder,
-    rng,
-    unselected_z: np.ndarray | None = None,
-    xi: np.ndarray | None = None,
-    accept_u: float | None = None,
+    normals: np.ndarray,
+    accept_u: float,
 ):
     """Redraw unselected coordinates from their exact Gaussian conditional and
     advance the selected block by one MALA step, in place.
 
-    Returns (accepted, alpha, r_selected); alpha is the acceptance
-    probability actually used, which the adaptive layer consumes. Draw order
-    when sampling here: unselected normals, then proposal noise, then the
-    acceptance uniform.
+    `normals` holds p standard normals: the first (delta == 0).sum() scale
+    the unselected redraw, the rest are the proposal noise. Returns
+    (accepted, alpha, r_selected); alpha is the acceptance probability
+    actually used, which the adaptive layer consumes.
     """
     quot_coef = quasi_scale(gep, prior)
     k = state.k
@@ -174,14 +169,8 @@ def mala_update_theta(
     sel = np.flatnonzero(state.delta)
     unsel = np.flatnonzero(state.delta == 0)
 
-    if unselected_z is None:
-        unselected_z = rng.standard_normal(unsel.size)
-    state.theta[unsel] = math.sqrt(t_k / prior.rho0) * unselected_z
-
-    if xi is None:
-        xi = rng.standard_normal(sel.size)
-    if accept_u is None:
-        accept_u = float(rng.random())
+    state.theta[unsel] = math.sqrt(t_k / prior.rho0) * normals[: unsel.size]
+    xi = normals[unsel.size :]
 
     u = state.theta[sel].copy()
     block = (gep.A[np.ix_(sel, sel)], gep.B[np.ix_(sel, sel)], prior, quot_coef, t_k)
@@ -199,25 +188,20 @@ def temperature_update(
     gep: GepPair,
     prior: PriorConfig,
     ladder: TemperingLadder,
-    rng,
-    log_post: float | None = None,
-    w: float | None = None,
-    u: float | None = None,
+    w: float | None,
+    u: float | None,
+    log_post: float,
 ) -> int:
     """Reflected +-1 random walk on the temperature index with the
     Hastings asymmetry correction at the boundaries, in place.
 
-    K=1 is the identity and consumes no randomness. Otherwise exactly two
-    uniforms (direction, acceptance) are consumed even when the proposal is
-    forced, so coupled chains can share them.
+    w picks the direction and u the acceptance; both are used even when the
+    proposal is forced, so coupled chains can share them. K=1 is the
+    identity and reads neither, so its callers draw neither.
     """
     K = ladder.K
     if K == 1:
         return state.k
-    if w is None:
-        w = float(rng.random())
-    if u is None:
-        u = float(rng.random())
     k = state.k
     if k == 1:
         k_new = 2
@@ -230,8 +214,6 @@ def temperature_update(
         log_q_fwd = math.log(0.5)
     log_q_rev = 0.0 if k_new in (1, K) else math.log(0.5)
 
-    if log_post is None:
-        log_post = log_quasi_posterior(state, gep, prior)
     lw = ladder.log_weights
     t = ladder.temperatures
     log_ratio = (
@@ -240,7 +222,7 @@ def temperature_update(
         + log_q_rev
         - log_q_fwd
     )
-    if math.log(u) < log_ratio:
+    if u <= 0.0 or math.log(u) < log_ratio:
         state.k = k_new
     return state.k
 
@@ -294,19 +276,25 @@ def advance_chain(
     hook (which consumes no randomness, so a frozen hook leaves the
     trajectory bit-identical).
 
-    Returns (alpha, k_mala, r_selected) where k_mala is the temperature the
-    loading move ran under.
+    All of the iteration's random numbers are drawn here, first, and the
+    kernels only apply them. Returns (alpha, k_mala, r_selected) where k_mala
+    is the temperature the loading move ran under.
     """
     subset = draw_subset(gep.p, subset_size, rng)
+    uniforms = rng.random(subset.size)
+    normals = rng.standard_normal(gep.p)
+    accept_u = float(rng.random())
+    w, u = rng.random(2).tolist() if ladder.K > 1 else (None, None)
+
     cache = QuadraticCache(gep, state)
-    gibbs_update_delta(state, gep, prior, ladder, subset, rng, cache=cache)
+    gibbs_update_delta(state, gep, prior, ladder, subset, uniforms, cache=cache)
 
     k_mala = state.k
-    _, alpha, r_sel = mala_update_theta(state, gep, prior, ladder, rng)
+    _, alpha, r_sel = mala_update_theta(state, gep, prior, ladder, normals, accept_u)
 
     # the quotient from the loading move spares an O(p^2) re-evaluation
     log_post = log_quasi_posterior(state, gep, prior, r_sel=r_sel)
-    temperature_update(state, gep, prior, ladder, rng, log_post=log_post)
+    temperature_update(state, gep, prior, ladder, w, u, log_post)
 
     if adapt is not None:
         adapt.after_iteration(state, k_mala, alpha)

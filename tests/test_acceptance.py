@@ -27,6 +27,7 @@ from stcca.coupling import (
     coupled_step,
     coupled_temperature_step,
     coupled_theta_step,
+    mirrors,
     replicate_meeting_times,
     tv_bound_curve,
 )
@@ -146,7 +147,7 @@ def test_acceptance_3_kernel_dynamics(capsys):
     hits = 0
     for _ in range(trials):
         s = ChainState(delta=pre.delta.copy(), theta=pre.theta.copy(), k=pre.k)
-        gibbs_update_delta(s, gep, prior, ladder, subset, rng)
+        gibbs_update_delta(s, gep, prior, ladder, subset, rng.random(1))
         hits += int(s.delta[1])
     gibbs_err = abs(hits / trials - q0)
     gibbs_tol = 3.0 * math.sqrt(q0 * (1.0 - q0) / trials)
@@ -162,7 +163,7 @@ def test_acceptance_3_kernel_dynamics(capsys):
     steps = 100_000
     vals = np.empty(steps)
     for i in range(steps):
-        mala_update_theta(state, gep2, prior2, ladder2, rng)
+        mala_update_theta(state, gep2, prior2, ladder2, rng.standard_normal(2), rng.random())
         vals[i] = state.theta[0]
     grid = np.linspace(-12.0, 12.0, 4000)  # even count keeps 0 off the grid
     probe = ChainState(delta=np.array([1, 0], dtype=np.uint8), theta=np.zeros(2), k=1)
@@ -192,7 +193,7 @@ def test_acceptance_3_kernel_dynamics(capsys):
     steps = 1_000_000
     counts = np.zeros(2)
     for _ in range(steps):
-        temperature_update(state, gep, prior, lad2, rng, log_post=lp)
+        temperature_update(state, gep, prior, lad2, *rng.random(2), lp)
         counts[state.k - 1] += 1
     occ_err = float(np.max(np.abs(counts / steps - target)))
 
@@ -248,17 +249,17 @@ def test_acceptance_4_coupled_kernel_fidelity(capsys):
     gc1, gs1, gc2, gs2 = {}, {}, {}, {}
     for _ in range(trials):
         pair = CoupledState(chain1=fresh(base1), chain2=fresh(base2), lag=1)
-        coupled_gibbs_step(pair, gep, prior, ladder, subset, rng_c)
+        coupled_gibbs_step(pair, gep, prior, ladder, subset, rng_c.random(3))
         key = tuple(int(v) for v in pair.chain1.delta[subset])
         gc1[key] = gc1.get(key, 0) + 1
         key = tuple(int(v) for v in pair.chain2.delta[subset])
         gc2[key] = gc2.get(key, 0) + 1
         solo = fresh(base1)
-        gibbs_update_delta(solo, gep, prior, ladder, subset, rng_1)
+        gibbs_update_delta(solo, gep, prior, ladder, subset, rng_1.random(3))
         key = tuple(int(v) for v in solo.delta[subset])
         gs1[key] = gs1.get(key, 0) + 1
         solo = fresh(base2)
-        gibbs_update_delta(solo, gep, prior, ladder, subset, rng_2)
+        gibbs_update_delta(solo, gep, prior, ladder, subset, rng_2.random(3))
         key = tuple(int(v) for v in solo.delta[subset])
         gs2[key] = gs2.get(key, 0) + 1
     assert len(gc1) >= 2 and len(gc2) >= 2
@@ -275,33 +276,37 @@ def test_acceptance_4_coupled_kernel_fidelity(capsys):
     ms = np.empty((trials, 4))
     for i in range(trials):
         pair = CoupledState(chain1=fresh(base1), chain2=fresh(base2), lag=1)
-        coupled_theta_step(pair, gep, prior, ladder, rng_c)
+        normals = rng_c.standard_normal(10)
+        u_couple = float(rng_c.random()) if mirrors(pair) else None
+        coupled_theta_step(pair, gep, prior, ladder, normals, u_couple, rng_c.random())
         mc[i] = (
             pair.chain1.theta[sel1], pair.chain1.theta[uns1],
             pair.chain2.theta[sel2], pair.chain2.theta[uns2],
         )
         solo = fresh(base1)
-        mala_update_theta(solo, gep, prior, ladder, rng_1)
+        mala_update_theta(solo, gep, prior, ladder, rng_1.standard_normal(10), rng_1.random())
         ms[i, 0], ms[i, 1] = solo.theta[sel1], solo.theta[uns1]
         solo = fresh(base2)
-        mala_update_theta(solo, gep, prior, ladder, rng_2)
+        mala_update_theta(solo, gep, prior, ladder, rng_2.standard_normal(10), rng_2.random())
         ms[i, 2], ms[i, 3] = solo.theta[sel2], solo.theta[uns2]
     p_mala = min(ks_2samp(mc[:, j], ms[:, j]).pvalue for j in range(4))
 
+    lp1 = log_quasi_posterior(base1, gep, prior)
+    lp2 = log_quasi_posterior(base2, gep, prior)
     rng_c = np.random.default_rng(102)
     rng_1 = np.random.default_rng(202)
     rng_2 = np.random.default_rng(302)
     tc1, ts1, tc2, ts2 = {}, {}, {}, {}
     for _ in range(trials):
         pair = CoupledState(chain1=fresh(base1), chain2=fresh(base2), lag=1)
-        coupled_temperature_step(pair, gep, prior, ladder, rng_c)
+        coupled_temperature_step(pair, gep, prior, ladder, *rng_c.random(2), lp1, lp2)
         tc1[pair.chain1.k] = tc1.get(pair.chain1.k, 0) + 1
         tc2[pair.chain2.k] = tc2.get(pair.chain2.k, 0) + 1
         solo = fresh(base1)
-        temperature_update(solo, gep, prior, ladder, rng_1)
+        temperature_update(solo, gep, prior, ladder, *rng_1.random(2), lp1)
         ts1[solo.k] = ts1.get(solo.k, 0) + 1
         solo = fresh(base2)
-        temperature_update(solo, gep, prior, ladder, rng_2)
+        temperature_update(solo, gep, prior, ladder, *rng_2.random(2), lp2)
         ts2[solo.k] = ts2.get(solo.k, 0) + 1
     p_temp = min(_chisq_homogeneity(tc1, ts1), _chisq_homogeneity(tc2, ts2))
 

@@ -12,7 +12,7 @@ from stcca.adapt import (
 )
 from stcca.covariance import assemble_gep, estimate_gep
 from stcca.errors import DomainError
-from stcca.model import ChainState, PriorConfig, TemperingLadder
+from stcca.model import ChainState, PriorConfig, TemperingLadder, log_quasi_posterior
 from stcca.sampler import run_chain, temperature_update
 from stcca.simdata import build_population_cov, sample_gaussian_pairs
 
@@ -196,9 +196,10 @@ class TestRunAdaptiveChain:
         r2 = np.random.default_rng(21)
         ks1 = []
         ks2 = []
+        lp = log_quasi_posterior(state1, gep, prior)  # k does not enter it
         for _ in range(300):
-            temperature_update(state1, gep, prior, lad1, r1)
-            temperature_update(state2, gep, prior, lad2, r2)
+            temperature_update(state1, gep, prior, lad1, *r1.random(2), lp)
+            temperature_update(state2, gep, prior, lad2, *r2.random(2), lp)
             ks1.append(state1.k)
             ks2.append(state2.k)
         assert ks1 == ks2

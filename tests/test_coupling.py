@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from stcca.covariance import GepPair, assemble_gep
@@ -14,6 +16,7 @@ from stcca.coupling import (
     coupled_temperature_step,
     coupled_theta_step,
     lagged_meeting_time,
+    mirrors,
     replicate_meeting_times,
     tv_bound_curve,
 )
@@ -23,6 +26,7 @@ from stcca.model import (
     PriorConfig,
     QuadraticCache,
     TemperingLadder,
+    log_quasi_posterior,
 )
 from stcca.sampler import (
     gibbs_success_prob,
@@ -69,6 +73,14 @@ def make_state(rng, p, delta=None, k=1) -> ChainState:
     )
 
 
+def theta_draws(pair, rng):
+    """The coupled loading move's draws in coupled_step's order: p normals,
+    the coupling uniform when the move mirrors, the acceptance uniform."""
+    normals = rng.standard_normal(pair.chain1.p)
+    u_couple = float(rng.random()) if mirrors(pair) else None
+    return normals, u_couple, float(rng.random())
+
+
 def make_pair(rng, p, k1=1, k2=1, lag=5) -> CoupledState:
     return CoupledState(
         chain1=make_state(rng, p, k=k1),
@@ -106,8 +118,7 @@ class TestCoupledState:
 
 class TestCoupledGibbs:
     def test_chain1_marginal_is_bitwise_the_single_kernel(self):
-        # same seed: the pre-drawn shared uniform block must reproduce the
-        # sequential per-coordinate draws of the plain sweep
+        # the shared uniform block drives chain1 exactly as the plain sweep
         rng = np.random.default_rng(3)
         for trial in range(10):
             gep = random_gep(rng, 3, 3, n=40)
@@ -121,12 +132,9 @@ class TestCoupledGibbs:
                 k=pair.chain1.k,
             )
             subset = np.arange(6)
-            coupled_gibbs_step(
-                pair, gep, prior, ladder, subset, np.random.default_rng(seed)
-            )
-            gibbs_update_delta(
-                solo, gep, prior, ladder, subset, np.random.default_rng(seed)
-            )
+            uniforms = np.random.default_rng(seed).random(6)
+            coupled_gibbs_step(pair, gep, prior, ladder, subset, uniforms)
+            gibbs_update_delta(solo, gep, prior, ladder, subset, uniforms)
             assert np.array_equal(pair.chain1.delta, solo.delta)
 
     def test_identical_chains_make_identical_sweeps(self):
@@ -138,7 +146,7 @@ class TestCoupledGibbs:
             a = make_state(rng, 5, k=2)
             b = ChainState(delta=a.delta.copy(), theta=a.theta.copy(), k=a.k)
             pair = CoupledState(chain1=a, chain2=b, lag=1)
-            coupled_gibbs_step(pair, gep, prior, ladder, np.arange(5), rng)
+            coupled_gibbs_step(pair, gep, prior, ladder, np.arange(5), rng.random(5))
             assert np.array_equal(a.delta, b.delta)
 
     def test_disagreement_frequency_matches_probability_gap(self):
@@ -164,7 +172,7 @@ class TestCoupledGibbs:
                 delta=base2.delta.copy(), theta=base2.theta.copy(), k=base2.k
             )
             pair = CoupledState(chain1=c1, chain2=c2, lag=1)
-            coupled_gibbs_step(pair, gep, prior, ladder, np.array([j]), rng)
+            coupled_gibbs_step(pair, gep, prior, ladder, np.array([j]), rng.random(1))
             mism += int(c1.delta[j] != c2.delta[j])
         se = math.sqrt(max(gap * (1 - gap), 1e-12) / reps)
         assert abs(mism / reps - gap) < 4 * se + 1e-3
@@ -180,7 +188,7 @@ class TestCoupledTheta:
             a = make_state(rng, 6, k=int(rng.integers(1, 4)))
             b = ChainState(delta=a.delta.copy(), theta=a.theta.copy(), k=a.k)
             pair = CoupledState(chain1=a, chain2=b, lag=1)
-            coupled_theta_step(pair, gep, prior, ladder, rng)
+            coupled_theta_step(pair, gep, prior, ladder, *theta_draws(pair, rng))
             assert a.theta.tobytes() == b.theta.tobytes()
 
     def test_jointly_inactive_redraws_share_one_normal(self):
@@ -193,7 +201,7 @@ class TestCoupledTheta:
         a = make_state(rng, 6, delta=[1, 0, 0, 1, 0, 0], k=1)
         b = make_state(rng, 6, delta=[0, 1, 0, 1, 0, 0], k=3)
         pair = CoupledState(chain1=a, chain2=b, lag=1)
-        coupled_theta_step(pair, gep, prior, ladder, rng)
+        coupled_theta_step(pair, gep, prior, ladder, *theta_draws(pair, rng))
         t1 = ladder.temperatures[0]
         t2 = ladder.temperatures[2]
         ratio = math.sqrt(t1 / t2)
@@ -212,7 +220,7 @@ class TestCoupledTheta:
         b = ChainState(delta=np.array([0, 0, 0, 1]), theta=a.theta.copy(), k=1)
         pair = CoupledState(chain1=a, chain2=b, lag=1)
         drv = np.random.default_rng(seed + 1)
-        coupled_theta_step(pair, gep, prior, ladder, drv)
+        coupled_theta_step(pair, gep, prior, ladder, *theta_draws(pair, drv))
         # replay the draw layout: z over the complement of G11, then xi_base
         replay = np.random.default_rng(seed + 1)
         z = np.zeros(4)
@@ -240,13 +248,13 @@ class TestCoupledTheta:
             a = ChainState(delta=d1.copy(), theta=theta0.copy(), k=2)
             b = ChainState(delta=d2.copy(), theta=theta0.copy(), k=2)
             pair = CoupledState(chain1=a, chain2=b, lag=1)
-            coupled_theta_step(pair, gep, prior, ladder, rng)
+            coupled_theta_step(pair, gep, prior, ladder, *theta_draws(pair, rng))
             coupled1[i] = a.theta[3]
             coupled2[i] = b.theta[1]
             s1 = ChainState(delta=d1.copy(), theta=theta0.copy(), k=2)
             s2 = ChainState(delta=d2.copy(), theta=theta0.copy(), k=2)
-            mala_update_theta(s1, gep, prior, ladder, rng)
-            mala_update_theta(s2, gep, prior, ladder, rng)
+            mala_update_theta(s1, gep, prior, ladder, rng.standard_normal(4), rng.random())
+            mala_update_theta(s2, gep, prior, ladder, rng.standard_normal(4), rng.random())
             solo1[i] = s1.theta[3]
             solo2[i] = s2.theta[1]
         crit = 1.628 * math.sqrt(2.0 / reps)  # 1% two-sample level
@@ -276,7 +284,7 @@ class TestCoupledTheta:
             )
             pair = CoupledState(chain1=a, chain2=b, lag=1)
             for _ in range(5):
-                coupled_theta_step(pair, gep, prior, ladder, rng)
+                coupled_theta_step(pair, gep, prior, ladder, *theta_draws(pair, rng))
                 if np.array_equal(a.theta[[0, 2]], b.theta[[0, 2]]):
                     hits += 1
                     break
@@ -299,10 +307,8 @@ class TestCoupledTemperature:
             b = make_state(rng, 4, k=int(rng.integers(1, 5)))
             pair = CoupledState(chain1=a, chain2=b, lag=1)
             solo = ChainState(delta=a.delta.copy(), theta=a.theta.copy(), k=k0)
-            coupled_temperature_step(
-                pair, gep, prior, ladder, rng, log_post1=lp1, log_post2=lp2, w=w, u=u
-            )
-            temperature_update(solo, gep, prior, ladder, rng, log_post=lp1, w=w, u=u)
+            coupled_temperature_step(pair, gep, prior, ladder, w, u, lp1, lp2)
+            temperature_update(solo, gep, prior, ladder, w, u, lp1)
             assert a.k == solo.k
 
     def test_equal_states_move_together(self):
@@ -316,9 +322,7 @@ class TestCoupledTemperature:
             a = make_state(rng, 4, k=k0)
             b = ChainState(delta=a.delta.copy(), theta=a.theta.copy(), k=k0)
             pair = CoupledState(chain1=a, chain2=b, lag=1)
-            coupled_temperature_step(
-                pair, gep, prior, ladder, rng, log_post1=lp, log_post2=lp
-            )
+            coupled_temperature_step(pair, gep, prior, ladder, *rng.random(2), lp, lp)
             assert a.k == b.k
 
     def test_adjacent_chains_can_coalesce(self):
@@ -336,23 +340,72 @@ class TestCoupledTemperature:
             b = ChainState(delta=a.delta.copy(), theta=a.theta.copy(), k=2)
             pair = CoupledState(chain1=a, chain2=b, lag=1)
             coupled_temperature_step(
-                pair, gep, prior, ladder, rng, log_post1=-10.0, log_post2=-10.0
+                pair, gep, prior, ladder, *rng.random(2), -10.0, -10.0
             )
             merged += int(a.k == b.k)
         assert merged > 0
 
 
+unit = st.floats(0.0, 1.0, exclude_max=True)
+
+
+@st.composite
+def met_pair_runs(draw):
+    """(p, seed, k, iterations): a dimension, a seed for the GEP and the
+    shared start state, its rung, and one to four iterations of draws. Each
+    iteration holds a subset, one uniform per subset entry, p normals and
+    the coupling, acceptance, direction and temperature uniforms. A uniform
+    is 0.0, any value in [0, 1), or ("ulp", d): d ulps from the success
+    probability of its coordinate before the sweep, kept in [0, 1)."""
+    p = draw(st.integers(2, 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    k = draw(st.integers(1, 3))
+    uniform = st.one_of(
+        st.just(0.0), unit, st.sampled_from([-1, 0, 1]).map(lambda d: ("ulp", d))
+    )
+    iterations = []
+    for _ in range(draw(st.integers(1, 4))):
+        subset = draw(st.lists(st.integers(0, p - 1), unique=True, max_size=p))
+        uniforms = [draw(uniform) for _ in subset]
+        normals = draw(st.lists(st.floats(-6.0, 6.0), min_size=p, max_size=p))
+        tail = draw(st.tuples(*[st.one_of(st.just(0.0), unit)] * 4))
+        iterations.append((subset, uniforms, normals, tail))
+    return p, seed, k, iterations
+
+
 class TestCoupledStep:
-    def test_identical_pair_absorbs_for_100_steps(self):
-        rng = np.random.default_rng(15)
-        gep = random_gep(rng, 3, 3, n=40)
-        prior = PriorConfig.defaults(6)
-        ladder = flat_ladder(3, 6)
-        a = make_state(rng, 6, k=2)
+    @given(met_pair_runs())
+    def test_met_pair_stays_met_under_any_draws(self, run):
+        # coupled_step's composition of the three kernels, driven by
+        # arbitrary draws: a pair that has met stays met
+        p, seed, k, iterations = run
+        rng = np.random.default_rng(seed)
+        gep = random_gep(rng, p // 2, p - p // 2, n=40)
+        prior = PriorConfig.defaults(p)
+        ladder = flat_ladder(3, p)
+        a = make_state(rng, p, k=k)
         b = ChainState(delta=a.delta.copy(), theta=a.theta.copy(), k=a.k)
         pair = CoupledState(chain1=a, chain2=b, lag=2)
-        for _ in range(100):
-            coupled_step(pair, gep, prior, ladder, 6, rng)
+        for subset, raw, normals, (u_couple, accept_u, w, u) in iterations:
+            uniforms = np.empty(len(subset))
+            for i, (j, v) in enumerate(zip(subset, raw)):
+                if isinstance(v, tuple):
+                    v = gibbs_success_prob(j, a, gep, prior, ladder)
+                    for _ in range(abs(raw[i][1])):
+                        v = np.nextafter(v, math.copysign(np.inf, raw[i][1]))
+                uniforms[i] = min(max(v, 0.0), np.nextafter(1.0, 0.0))
+            coupled_gibbs_step(
+                pair, gep, prior, ladder, np.array(subset, dtype=np.int64), uniforms,
+                QuadraticCache(gep, a), QuadraticCache(gep, b),
+            )
+            assert mirrors(pair)
+            alpha1, alpha2, r1, r2 = coupled_theta_step(
+                pair, gep, prior, ladder, np.array(normals), u_couple, accept_u
+            )
+            lp1 = log_quasi_posterior(a, gep, prior, r_sel=r1)
+            lp2 = log_quasi_posterior(b, gep, prior, r_sel=r2)
+            coupled_temperature_step(pair, gep, prior, ladder, w, u, lp1, lp2)
+            assert alpha1 == alpha2
             assert a.k == b.k
             assert a.delta.tobytes() == b.delta.tobytes()
             assert a.theta.tobytes() == b.theta.tobytes()

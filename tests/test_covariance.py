@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from stcca import covariance
@@ -150,7 +150,6 @@ class TestKendallTau:
         with pytest.raises(DomainError):
             kendall_tau_matrix(Z)
 
-    @settings(derandomize=True, deadline=None)
     @given(
         st.integers(2, 60),
         st.integers(1, 12),

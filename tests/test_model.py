@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from stcca.covariance import GepPair, assemble_gep
@@ -344,7 +344,6 @@ def flip_runs(draw):
 
 
 class TestQuadraticCache:
-    @settings(derandomize=True, deadline=None)
     @given(flip_runs())
     def test_tracks_random_flip_sequence(self, run):
         p, seed, flips = run

@@ -4,6 +4,8 @@ import collections
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stcca.covariance import GepPair, assemble_gep
 from stcca.errors import DomainError
@@ -13,9 +15,11 @@ from stcca.model import (
     QuadraticCache,
     TemperingLadder,
     grad_selected,
+    log_quasi_posterior,
     log_tempered,
 )
 from stcca.sampler import (
+    advance_chain,
     draw_subset,
     gibbs_success_prob,
     gibbs_update_delta,
@@ -42,7 +46,30 @@ def planted_gep(n=200) -> GepPair:
     return assemble_gep(Sx, Sy, Sxy, n=n)
 
 
+def scalar_fisher_yates(p, size, rng):
+    """Reference: the partial Fisher-Yates loop with one scalar draw per
+    position, which draw_subset must match value for value and leave the
+    generator in the same state."""
+    size = min(size, p)
+    idx = np.arange(p)
+    for i in range(size):
+        j = i + int(rng.integers(p - i))
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx[:size].copy()
+
+
 class TestDrawSubset:
+    @given(st.integers(1, 1200), st.data(), st.integers(0, 2**64 - 1))
+    def test_equals_scalar_fisher_yates(self, p, data, seed):
+        size = data.draw(st.integers(0, p + 5))
+        rng = np.random.default_rng(seed)
+        ref = np.random.default_rng(seed)
+        got = draw_subset(p, size, rng)
+        want = scalar_fisher_yates(p, size, ref)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_no_duplicates_and_range(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -132,7 +159,7 @@ class TestGibbsUpdateDelta:
         before = state.delta.copy()
         gibbs_update_delta(
             state, g, PriorConfig.defaults(6), TemperingLadder.for_dimension(6),
-            np.array([], dtype=int), rng,
+            np.array([], dtype=int), rng.random(0),
         )
         assert np.array_equal(state.delta, before)
 
@@ -144,7 +171,7 @@ class TestGibbsUpdateDelta:
         state = ChainState(delta=np.ones(8), theta=rng.standard_normal(8))
         before = state.delta.copy()
         subset = np.array([1, 5])
-        gibbs_update_delta(state, g, prior, lad, subset, rng)
+        gibbs_update_delta(state, g, prior, lad, subset, rng.random(subset.size))
         outside = [j for j in range(8) if j not in (1, 5)]
         assert np.array_equal(state.delta[outside], before[outside])
 
@@ -158,7 +185,8 @@ class TestGibbsUpdateDelta:
                 delta=np.array([0, 1, 0, 0]), theta=np.random.default_rng(seed).standard_normal(4)
             )
             gibbs_update_delta(
-                state, g, prior, lad, np.array([1]), np.random.default_rng(seed + 100)
+                state, g, prior, lad, np.array([1]),
+                np.random.default_rng(seed + 100).random(1),
             )
             assert state.delta[1] == 1
 
@@ -168,16 +196,25 @@ class TestGibbsUpdateDelta:
         prior = PriorConfig.defaults(6)
         lad = TemperingLadder.for_dimension(6)
         state = ChainState(delta=np.array([1, 1, 0, 0, 1, 0]), theta=rng.standard_normal(6))
-        # u = 0 always lands at or below q_j, so the coordinate switches on
-        gibbs_update_delta(
-            state, g, prior, lad, np.array([3]), rng, uniforms=np.array([0.0])
-        )
+        # u = 0 lies below every q_j > 0, so the coordinate switches on
+        gibbs_update_delta(state, g, prior, lad, np.array([3]), np.array([0.0]))
         assert state.delta[3] == 1
         # u = 1 exceeds every q_j < 1, switching a non-forced coordinate off
-        gibbs_update_delta(
-            state, g, prior, lad, np.array([3]), rng, uniforms=np.array([1.0])
-        )
+        gibbs_update_delta(state, g, prior, lad, np.array([3]), np.array([1.0]))
         assert state.delta[3] == 0
+
+    def test_zero_probability_stays_off_at_zero_uniform(self):
+        # at n = 2000 switching coordinate 1 on costs the planted quotient
+        # enough that the log-odds fall below -745, where the sigmoid
+        # underflows to exactly 0.0; Bernoulli(0) must not fire even at the
+        # uniform 0.0, a value Generator.random can return
+        g = planted_gep(n=2000)
+        prior = PriorConfig(rho0=1.0, rho1=1.0, q=0.2)
+        lad = TemperingLadder.for_dimension(4)
+        state = ChainState(delta=np.array([1, 0, 1, 0]), theta=np.array([1.0, 1.0, 1.0, 0.0]))
+        assert gibbs_success_prob(1, state, g, prior, lad) == 0.0
+        gibbs_update_delta(state, g, prior, lad, np.array([1]), np.array([0.0]))
+        assert state.delta[1] == 0
 
     def test_single_coordinate_frequency(self):
         # Monte Carlo frequency oracle at reduced scale
@@ -193,7 +230,7 @@ class TestGibbsUpdateDelta:
         hits = 0
         for _ in range(reps):
             state = base.copy()
-            gibbs_update_delta(state, g, prior, lad, np.array([j]), rng)
+            gibbs_update_delta(state, g, prior, lad, np.array([j]), rng.random(1))
             hits += int(state.delta[j])
         freq = hits / reps
         se = np.sqrt(q * (1 - q) / reps)
@@ -211,10 +248,8 @@ class TestMalaUpdateTheta:
         )
         state = ChainState(delta=np.array([1, 1, 0, 1, 0, 0]), theta=rng.standard_normal(6))
         sel_size = 3
-        accepted, alpha, _ = mala_update_theta(
-            state, g, prior, lad, rng,
-            xi=np.zeros(sel_size), accept_u=0.999999,
-        )
+        normals = np.concatenate([rng.standard_normal(6 - sel_size), np.zeros(sel_size)])
+        accepted, alpha, _ = mala_update_theta(state, g, prior, lad, normals, 0.999999)
         assert accepted
         assert alpha > 1 - 1e-6
 
@@ -230,7 +265,7 @@ class TestMalaUpdateTheta:
         )
         draws = []
         for _ in range(30_000):
-            mala_update_theta(state, g, prior, lad, rng)
+            mala_update_theta(state, g, prior, lad, rng.standard_normal(4), rng.random())
             draws.append(state.theta[1])
         var = np.var(draws)
         want = lad.temperatures[1] / prior.rho0  # 0.2
@@ -249,7 +284,7 @@ class TestMalaUpdateTheta:
         state = ChainState(delta=np.array([0, 0, 1, 0]), theta=rng.standard_normal(4), k=2)
         xs = np.empty(25_000)
         for i in range(xs.size):
-            mala_update_theta(state, g, prior, lad, rng)
+            mala_update_theta(state, g, prior, lad, rng.standard_normal(4), rng.random())
             xs[i] = state.theta[2]
         want = lad.temperatures[1] / prior.rho1  # 2.5
         assert abs(np.var(xs) - want) / want < 0.1
@@ -269,10 +304,7 @@ class TestMalaUpdateTheta:
         gvec = grad_selected(theta0, 1, delta, g, prior, lad)
         target = np.array([0.0, 1.0])  # theta' B theta = 0 there
         xi = (target - theta0 - eta * gvec) / np.sqrt(2 * eta)
-        accepted, alpha, _ = mala_update_theta(
-            state, g, prior, lad, np.random.default_rng(0),
-            unselected_z=np.empty(0), xi=xi, accept_u=0.0,
-        )
+        accepted, alpha, _ = mala_update_theta(state, g, prior, lad, xi, 0.0)
         assert not accepted
         assert alpha == 0.0
         assert np.array_equal(state.theta, theta0)
@@ -283,7 +315,7 @@ class TestMalaUpdateTheta:
         with pytest.raises(DomainError):
             mala_update_theta(
                 state, g, PriorConfig.defaults(2), TemperingLadder.for_dimension(2),
-                np.random.default_rng(0),
+                np.zeros(2), 0.5,
             )
 
 
@@ -303,11 +335,18 @@ class TestTemperatureUpdate:
 
     def test_single_level_is_identity_and_draws_nothing(self):
         state, g, prior, lad = self._setup(1)
+        temperature_update(state, g, prior, lad, None, None, 0.0)
+        assert state.k == 1
+        # so an iteration at K=1 draws the subset, J uniforms, p normals and
+        # the MALA acceptance uniform, and nothing for the temperature move
         rng = np.random.default_rng(99)
         probe = np.random.default_rng(99)
-        temperature_update(state, g, prior, lad, rng)
-        assert state.k == 1
-        assert rng.random() == probe.random()  # stream untouched
+        advance_chain(state, g, prior, lad, 2, rng)
+        draw_subset(4, 2, probe)
+        probe.random(2)
+        probe.standard_normal(4)
+        probe.random()
+        assert rng.bit_generator.state == probe.bit_generator.state
 
     def test_boundary_corrections_at_three_levels(self):
         # flat target (log_post = 0, equal weights) isolates the Hastings
@@ -315,32 +354,38 @@ class TestTemperatureUpdate:
         # interior -> boundary always accepts
         state, g, prior, lad = self._setup(3)
         state.k = 1
-        temperature_update(state, g, prior, lad, None, log_post=0.0, w=0.9, u=0.499)
+        temperature_update(state, g, prior, lad, 0.9, 0.499, 0.0)
         assert state.k == 2
         state.k = 1
-        temperature_update(state, g, prior, lad, None, log_post=0.0, w=0.1, u=0.501)
+        temperature_update(state, g, prior, lad, 0.1, 0.501, 0.0)
         assert state.k == 1
         state.k = 2
-        temperature_update(state, g, prior, lad, None, log_post=0.0, w=0.3, u=0.999)
+        temperature_update(state, g, prior, lad, 0.3, 0.999, 0.0)
         assert state.k == 1  # interior -> boundary, ratio 2, accepts
         state.k = 2
-        temperature_update(state, g, prior, lad, None, log_post=0.0, w=0.7, u=0.999)
+        temperature_update(state, g, prior, lad, 0.7, 0.999, 0.0)
         assert state.k == 3
 
     def test_direction_uniform_threshold(self):
         state, g, prior, lad = self._setup(5)
         state.k = 3
-        temperature_update(state, g, prior, lad, None, log_post=0.0, w=0.5, u=0.49)
+        temperature_update(state, g, prior, lad, 0.5, 0.49, 0.0)
         assert state.k == 2  # w = 0.5 goes left
         state.k = 3
-        temperature_update(state, g, prior, lad, None, log_post=0.0, w=0.51, u=0.49)
+        temperature_update(state, g, prior, lad, 0.51, 0.49, 0.0)
         assert state.k == 4
+
+    def test_zero_acceptance_uniform_accepts(self):
+        # Generator.random can return exactly 0.0, which has no logarithm;
+        # it lies below every acceptance probability, so the move is taken
+        state, g, prior, lad = self._setup(3)
+        state.k = 1
+        temperature_update(state, g, prior, lad, 0.9, 0.0, 0.0)
+        assert state.k == 2
 
     def test_occupancy_matches_weights(self):
         # fixed state, k moves alone: stationary law known in closed form
         state, g, prior, lad = self._setup(3, log_weights=np.array([0.0, 0.7, -0.4]))
-        from stcca.model import log_quasi_posterior
-
         L = log_quasi_posterior(state, g, prior)
         log_w = -lad.log_weights + L / lad.temperatures
         pi = np.exp(log_w - log_w.max())
@@ -349,7 +394,7 @@ class TestTemperatureUpdate:
         steps = 200_000
         counts = np.zeros(3)
         for _ in range(steps):
-            temperature_update(state, g, prior, lad, rng, log_post=L)
+            temperature_update(state, g, prior, lad, *rng.random(2), L)
             counts[state.k - 1] += 1
         occ = counts / steps
         assert np.max(np.abs(occ - pi)) < 0.01
