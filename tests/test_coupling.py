@@ -374,6 +374,20 @@ def met_pair_runs(draw):
 
 
 class TestCoupledStep:
+    def test_identical_pair_absorbs_for_100_steps(self):
+        rng = np.random.default_rng(15)
+        gep = random_gep(rng, 3, 3, n=40)
+        prior = PriorConfig.defaults(6)
+        ladder = flat_ladder(3, 6)
+        a = make_state(rng, 6, k=2)
+        b = ChainState(delta=a.delta.copy(), theta=a.theta.copy(), k=a.k)
+        pair = CoupledState(chain1=a, chain2=b, lag=2)
+        for _ in range(100):
+            coupled_step(pair, gep, prior, ladder, 6, rng)
+            assert a.k == b.k
+            assert a.delta.tobytes() == b.delta.tobytes()
+            assert a.theta.tobytes() == b.theta.tobytes()
+
     @given(met_pair_runs())
     def test_met_pair_stays_met_under_any_draws(self, run):
         # coupled_step's composition of the three kernels, driven by
