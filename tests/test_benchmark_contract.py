@@ -8,10 +8,15 @@ arguments by position (``run_chain``'s ``n_iters`` is the fourth). A rename or
 a signature change that breaks those wrappers, or that makes a traced
 operation differ from an untraced one, fails the benchmark; this test makes
 it fail here first. It reads perfbench/ and changes nothing there.
+
+It also pins the SHA-256 of operation 0's digest item for each workload at
+``tiny=True``, seed 7, as recorded before the default-consolidation refactor:
+a change to stcca that moves one byte of a benchmark output fails here.
 """
 
 from __future__ import annotations
 
+import hashlib
 import sys
 from pathlib import Path
 
@@ -21,6 +26,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracing  # noqa: E402
 import worker  # noqa: E402
 import workloads  # noqa: E402
+
+
+# sha256(digest_item(run_op(wl, 0))) at tiny=True, seed 7
+PINNED_DIGESTS = {
+    "cli-kendall-p1000": "2e76ec87106e10f99d8194113f4b423827a60b60263261d70a93cee19b782b8a",
+    "couple-p100": "0494aeb56d68d0683dcdc2856752cd331cb1a9112b239e9a529519dbe29e3e63",
+    "estimate-p1000": "c612d246d6f48dc5643ec69005a00a92e84da17fc407e7b1e22d9878a164837e",
+    "recover-p100": "c39695784d69e27a848911e37b9add4af9554e1267bfc715b0e45637699c4c94",
+}
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
@@ -38,6 +52,7 @@ def test_traced_operation_matches_untraced(name, tmp_path):
         wl.close()
     assert plain.error is None and traced.error is None
     assert wl.digest_item(traced) == wl.digest_item(plain)
+    assert hashlib.sha256(wl.digest_item(plain)).hexdigest() == PINNED_DIGESTS[name]
     assert wl.check(plain) == [] and wl.check(traced) == []
     assert tracing.self_time_gap(tracer) <= 1e-9
     # the worker derives its per-layer metrics from these spans
