@@ -2,20 +2,22 @@
 MALA step sizes toward 30% acceptance, and Wang-Landau learning of the
 temperature weights with stage-halving on flat occupancy.
 
-The sampler calls one hook per iteration after its kernel steps; the hook
-consumes no randomness, so freezing it leaves trajectories bit-identical.
+The sampler calls one hook per iteration after its kernel steps. The hook
+never sees a generator: it rewrites the ladder's weights and step sizes,
+which only change how later iterations use their draws, not which numbers
+they draw.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .covariance import GepPair
 from .errors import DomainError
 from .model import ChainState, PriorConfig, TemperingLadder
-from .sampler import ChainTrace, run_chain
+from .sampler import DEFAULT_SUBSET_SIZE, ChainTrace, run_chain
 
 ACCEPTANCE_TARGET = 0.3
 STEP_DECAY = 0.6
@@ -38,7 +40,6 @@ class AdaptState:
     v: np.ndarray
     a_wl: float = INITIAL_WL_INCREMENT
     w: float = DEFAULT_FLATNESS_TOL
-    frozen: bool = False
     n_resets: int = 0
 
     def __post_init__(self) -> None:
@@ -57,12 +58,11 @@ class AdaptState:
         return self.tau.size
 
     @classmethod
-    def for_ladder(cls, ladder: TemperingLadder, frozen: bool = False) -> "AdaptState":
+    def for_ladder(cls, ladder: TemperingLadder) -> "AdaptState":
         return cls(
             tau=np.log(ladder.step_sizes),
             log_c=ladder.log_weights.copy(),
             v=np.zeros(ladder.K, dtype=np.int64),
-            frozen=frozen,
         )
 
 
@@ -125,12 +125,11 @@ class AdaptiveHook:
 
     def after_iteration(self, state: ChainState, k_mala: int, alpha: float) -> None:
         adapt = self.adapt
-        if not adapt.frozen:
-            wang_landau_update(adapt, state.k)
-            adapt_step_size(adapt, k_mala, alpha)
-            flatness_check(adapt)
-            self.ladder.log_weights[:] = adapt.log_c
-            self.ladder.step_sizes[:] = np.exp(adapt.tau)
+        wang_landau_update(adapt, state.k)
+        adapt_step_size(adapt, k_mala, alpha)
+        flatness_check(adapt)
+        self.ladder.log_weights[:] = adapt.log_c
+        self.ladder.step_sizes[:] = np.exp(adapt.tau)
         self.a_wl_path.append(adapt.a_wl)
 
 
@@ -139,14 +138,13 @@ def run_adaptive_chain(
     prior: PriorConfig,
     temperatures,
     n_iters: int,
-    subset_size: int | None = None,
+    subset_size: int = DEFAULT_SUBSET_SIZE,
     seed=None,
-    frozen: bool = False,
 ) -> tuple[ChainTrace, AdaptState]:
     """Adaptive run: fresh ladder over `temperatures` with eta_k = 0.5 t_k / p,
     zero initial weights, then run_chain with the adaptation hook attached."""
     ladder = TemperingLadder.for_dimension(gep.p, temperatures)
-    adapt = AdaptState.for_ladder(ladder, frozen=frozen)
+    adapt = AdaptState.for_ladder(ladder)
     hook = AdaptiveHook(adapt, ladder)
     trace = run_chain(
         gep,

@@ -31,20 +31,32 @@ from pathlib import Path
 import numpy as np
 
 from .adapt import run_adaptive_chain
-from .coupling import lagged_meeting_time, tv_bound_curve
+from .coupling import coupling_limits, lagged_meeting_time, tv_bound_curve
 from .covariance import Dataset, assemble_gep, estimate_gep
 from .errors import ConfigError, DomainError, EmptyInputError, StccaError
-from .model import DEFAULT_TEMPERATURES, PriorConfig, TemperingLadder
+from .model import (
+    DEFAULT_RHO0,
+    DEFAULT_RHO1,
+    DEFAULT_SIGMA,
+    DEFAULT_TEMPERATURES,
+    PriorConfig,
+    TemperingLadder,
+)
 from .postprocess import EstimateReport, build_report
-from .sampler import ChainTrace
-from .simdata import TruncationSpec, build_population_cov, sample_gaussian_pairs, truncate_copula
+from .sampler import DEFAULT_SUBSET_SIZE, ChainTrace
+from .simdata import (
+    DEFAULT_LAMBDA1,
+    TruncationSpec,
+    build_population_cov,
+    sample_gaussian_pairs,
+    truncate_copula,
+)
 
 __all__ = ["ExperimentConfig", "aggregate_replications", "main"]
 
 _MODES = ("sample", "couple", "benchmark")
 _ESTIMATORS = ("sample", "kendall-sine")
 _METRICS = ("mse_x", "mse_y", "tpr_x", "tpr_y", "tnr_x", "tnr_y")
-_UTILITY_COMMANDS = ("simulate", "estimate-cov", "report")
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +136,8 @@ def _key(cast, default=None):
 class ExperimentConfig:
     """Fully resolved and validated experiment settings.
 
-    Each field is the config key of the same name. The None defaults of
+    Each field is the config key of the same name. Method settings default
+    to the constants of the modules that use them. The None defaults of
     mode, temperatures and p_grid are resolved during validation.
     """
 
@@ -133,17 +146,17 @@ class ExperimentConfig:
     p_y: int = _key(_as_int, 50)
     n: int = _key(_as_int, 200)
     estimator: str = _key(_as_choice(_ESTIMATORS), "sample")
-    rho0: float = _key(_as_float, 10.0)
-    rho1: float = _key(_as_float, 0.5)
+    rho0: float = _key(_as_float, DEFAULT_RHO0)
+    rho1: float = _key(_as_float, DEFAULT_RHO1)
     q: float | None = _key(_as_float)
-    sigma: float = _key(_as_float, 1.0)
+    sigma: float = _key(_as_float, DEFAULT_SIGMA)
     temperatures: tuple[float, ...] = _key(_as_float_list)
     N: int = _key(_as_int, 10000)
-    J: int = _key(_as_int, 100)
+    J: int = _key(_as_int, DEFAULT_SUBSET_SIZE)
     thin: int = _key(_as_int, 1)
     seeds: tuple[int, ...] = _key(_as_int_list, (0,))
     c: float | None = _key(_as_float)
-    lambda1: float = _key(_as_float, 0.9)
+    lambda1: float = _key(_as_float, DEFAULT_LAMBDA1)
     lag: int | None = _key(_as_int)
     n_max: int | None = _key(_as_int)
     n_reps: int = _key(_as_int, 20)
@@ -155,19 +168,14 @@ class ExperimentConfig:
     def p(self) -> int:
         return self.p_x + self.p_y
 
-    def prior(self, p: int | None = None) -> PriorConfig:
-        """Prior at dimension p; a missing q falls back to p^-1.5."""
-        if p is None:
-            p = self.p
-        q = self.q if self.q is not None else float(p) ** -1.5
+    def prior(self, p: int) -> PriorConfig:
+        """Prior at dimension p; a missing q is PriorConfig.defaults(p)'s."""
+        q = PriorConfig.defaults(p).q if self.q is None else self.q
         return PriorConfig(rho0=self.rho0, rho1=self.rho1, q=q, sigma=self.sigma)
 
     def couple_limits(self, p: int) -> tuple[int, int]:
-        """(lag, n_max) of the coupled runs at dimension p; they default to
-        p and 10p + 1000."""
-        lag = self.lag if self.lag is not None else p
-        n_max = self.n_max if self.n_max is not None else 10 * p + 1000
-        return lag, n_max
+        """(lag, n_max) of the coupled runs at dimension p (coupling_limits)."""
+        return coupling_limits(p, self.lag, self.n_max)
 
 
 # every config key with its caster
@@ -229,10 +237,8 @@ def validate_config(raw: dict, command: str) -> ExperimentConfig:
     except DomainError as exc:
         raise ConfigError(f"invalid temperature ladder: {exc}")
 
-    if cfg.q is not None and not 0.0 < cfg.q < 1.0:
-        raise ConfigError("q must lie in (0, 1)")
     try:
-        cfg.prior()
+        cfg.prior(p)
     except DomainError as exc:
         raise ConfigError(f"invalid prior settings: {exc}")
 
@@ -491,10 +497,10 @@ def _run_replication(cfg: ExperimentConfig, seed: int, tempered: bool):
     temps = cfg.temperatures if tempered else (1.0,)
     trace, _ = run_adaptive_chain(
         gep,
-        cfg.prior(),
+        cfg.prior(cfg.p),
         temps,
         cfg.N,
-        subset_size=min(cfg.J, gep.p),
+        subset_size=cfg.J,
         seed=chain_ss,
     )
     report = build_report(trace, gep.p_x, truth_x=truth_x, truth_y=truth_y)
@@ -659,7 +665,7 @@ def cmd_couple(cfg: ExperimentConfig, args, out_dir: Path) -> None:
         lag, n_max = cfg.couple_limits(p)
         prior = cfg.prior(p)
         tasks = [
-            (gep, prior, cfg.temperatures, n_max, min(cfg.J, p), lag, child)
+            (gep, prior, cfg.temperatures, n_max, cfg.J, lag, child)
             for child in p_ss.spawn(cfg.n_reps)
         ]
         taus = _map_tasks(args.jobs, _couple_worker, tasks)

@@ -24,12 +24,11 @@ from .model import (
     QuadraticCache,
     TemperingLadder,
     log_quasi_posterior,
-    quasi_scale,
-    selected_target,
 )
 from .sampler import (
     DEFAULT_SUBSET_SIZE,
     _mala_accept,
+    _selected_block,
     advance_chain,
     draw_subset,
     gibbs_update_delta,
@@ -111,17 +110,12 @@ def coupled_theta_step(
     Returns (alpha1, alpha2, r1, r2) with each chain's acceptance probability
     and post-move selected-block quotient.
     """
-    quot_coef = quasi_scale(gep, prior)
     c1, c2 = pair.chain1, pair.chain2
+    sel1, u1, block1, t1, eta1, lw1, r1, mu1 = _selected_block(c1, gep, prior, ladder)
+    sel2, u2, block2, t2, eta2, lw2, r2, mu2 = _selected_block(c2, gep, prior, ladder)
     d1 = c1.delta.astype(bool)
     d2 = c2.delta.astype(bool)
     g11 = d1 & d2
-    sel1 = np.flatnonzero(d1)
-    sel2 = np.flatnonzero(d2)
-    t1 = float(ladder.temperatures[c1.k - 1])
-    t2 = float(ladder.temperatures[c2.k - 1])
-    eta1 = float(ladder.step_sizes[c1.k - 1])
-    eta2 = float(ladder.step_sizes[c2.k - 1])
 
     z_full = np.zeros(c1.p)
     not_g11 = np.flatnonzero(~g11)
@@ -131,14 +125,6 @@ def coupled_theta_step(
     c1.theta[~d1] = math.sqrt(t1 / prior.rho0) * z_full[~d1]
     c2.theta[~d2] = math.sqrt(t2 / prior.rho0) * z_full[~d2]
 
-    u1 = c1.theta[sel1].copy()
-    u2 = c2.theta[sel2].copy()
-    block1 = (gep.A[np.ix_(sel1, sel1)], gep.B[np.ix_(sel1, sel1)], prior, quot_coef, t1)
-    block2 = (gep.A[np.ix_(sel2, sel2)], gep.B[np.ix_(sel2, sel2)], prior, quot_coef, t2)
-    lw1, r1, g1 = selected_target(u1, *block1)
-    lw2, r2, g2 = selected_target(u2, *block2)
-    mu1 = u1 + eta1 * g1
-    mu2 = u2 + eta2 * g2
     s1 = math.sqrt(2.0 * eta1)
     s2 = math.sqrt(2.0 * eta2)
 
@@ -243,12 +229,18 @@ def coupled_step(
     return alpha1, alpha2
 
 
+def coupling_limits(p: int, lag: int | None, n_max: int | None) -> tuple[int, int]:
+    """(lag, n_max) of a lagged coupling at dimension p: a None lag is p and
+    a None n_max is 10p + 1000."""
+    return (p if lag is None else lag), (10 * p + 1000 if n_max is None else n_max)
+
+
 def lagged_meeting_time(
     gep: GepPair,
     prior: PriorConfig,
     temperatures=DEFAULT_TEMPERATURES,
     n_max: int | None = None,
-    subset_size: int | None = None,
+    subset_size: int = DEFAULT_SUBSET_SIZE,
     lag: int | None = None,
     seed=None,
 ) -> int | None:
@@ -262,12 +254,7 @@ def lagged_meeting_time(
     keeps a single shared state driven by the leading chain.
     """
     p = gep.p
-    if n_max is None:
-        n_max = 10 * p + 1000
-    if subset_size is None:
-        subset_size = min(DEFAULT_SUBSET_SIZE, p)
-    if lag is None:
-        lag = p
+    lag, n_max = coupling_limits(p, lag, n_max)
     if lag < 1:
         raise DomainError("lag must be a positive integer")
     if n_max <= lag:

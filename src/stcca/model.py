@@ -58,8 +58,8 @@ class TemperingLadder:
     MALA step sizes. t_1 = 1 is the cold level whose samples are kept."""
 
     temperatures: np.ndarray
-    log_weights: np.ndarray | None = None
-    step_sizes: np.ndarray | None = None
+    log_weights: np.ndarray
+    step_sizes: np.ndarray
 
     def __post_init__(self) -> None:
         self.temperatures = np.asarray(self.temperatures, dtype=float)
@@ -70,14 +70,8 @@ class TemperingLadder:
         if np.any(np.diff(self.temperatures) <= 0):
             raise DomainError("temperatures must be strictly increasing")
         K = self.temperatures.size
-        if self.log_weights is None:
-            self.log_weights = np.zeros(K)
-        else:
-            self.log_weights = np.asarray(self.log_weights, dtype=float)
-        if self.step_sizes is None:
-            self.step_sizes = 0.1 * self.temperatures
-        else:
-            self.step_sizes = np.asarray(self.step_sizes, dtype=float)
+        self.log_weights = np.asarray(self.log_weights, dtype=float)
+        self.step_sizes = np.asarray(self.step_sizes, dtype=float)
         if self.log_weights.shape != (K,) or self.step_sizes.shape != (K,):
             raise DimensionMismatchError("ladder vectors must share one length")
         if np.any(self.step_sizes <= 0):

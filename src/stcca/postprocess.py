@@ -36,14 +36,13 @@ __all__ = [
 ]
 
 
-def extract_posterior_samples(trace, n_iters: int | None = None) -> np.ndarray:
+def extract_posterior_samples(trace) -> np.ndarray:
     """Row positions of the retained draws.
 
-    A row recording iteration t is a draw when t >= 3*n_iters/4 and the
-    chain sat at the coldest rung there. Row t records iteration t unless
-    the trace carries an `iters` array, as a thinned trace read back from
-    CSV does. n_iters defaults to the last recorded iteration; a smaller
-    value restricts attention to the iterations 0..n_iters.
+    With n_iters the last recorded iteration, a row recording iteration t is
+    a draw when 3*n_iters/4 <= t <= n_iters and the chain sat at the coldest
+    rung there. Row t records iteration t unless the trace carries an
+    `iters` array, as a thinned trace read back from CSV does.
 
     Raises EmptySampleError when no row qualifies, which means the chain
     never reached the coldest temperature after burn-in.
@@ -54,11 +53,7 @@ def extract_posterior_samples(trace, n_iters: int | None = None) -> np.ndarray:
         raise EmptyInputError("trace has no recorded states")
     iters = getattr(trace, "iters", None)
     t = np.arange(n_rows) if iters is None else np.asarray(iters)
-    last = int(t[-1])
-    if n_iters is None:
-        n_iters = last
-    if not 0 <= n_iters <= last:
-        raise DomainError(f"n_iters must be in [0, {last}], got {n_iters}")
+    n_iters = int(t[-1])
     # integer form of t >= 3*n_iters/4, exact for any n_iters
     keep = (t <= n_iters) & (4 * t >= 3 * n_iters) & (k == 1)
     idx = np.flatnonzero(keep)
@@ -143,24 +138,20 @@ def support_mode(delta_samples) -> np.ndarray:
     return winner.astype(np.uint8)
 
 
-def point_estimate(
-    trace, samples, delta_bar, p_x: int, estimates: SampleEstimates | None = None
-):
+def point_estimate(estimates: SampleEstimates, delta_bar):
     """Averaged loading estimate restricted to a fixed support.
 
     Each usable draw's unit estimate pair is concatenated, gated by
     delta_bar, and sign-aligned to the first usable draw before averaging:
     the target density is symmetric under a global sign flip, so a plain
-    average of raw draws cancels to zero. The average is then split at p_x
-    and each part renormalized.
+    average of raw draws cancels to zero. The average is then split back
+    into the two views and each part renormalized.
 
-    Pass a precomputed SampleEstimates to avoid redoing the per-draw work.
     Raises DegenerateEstimateError when either averaged part is zero.
     """
-    if estimates is None:
-        estimates = per_sample_estimates(trace, samples, p_x)
     delta_bar = np.asarray(delta_bar)
-    p = estimates.v_x.shape[1] + estimates.v_y.shape[1]
+    p_x = estimates.v_x.shape[1]
+    p = p_x + estimates.v_y.shape[1]
     if delta_bar.shape != (p,):
         raise DimensionMismatchError(f"delta_bar must have length {p}")
     w = np.hstack([estimates.v_x, estimates.v_y]) * delta_bar.astype(float)
@@ -303,9 +294,7 @@ def build_report(
     delta = np.asarray(trace.delta)
     delta_bar = support_mode(delta[samples])
     estimates = per_sample_estimates(trace, samples, p_x)
-    v_bar_x, v_bar_y = point_estimate(
-        trace, samples, delta_bar, p_x, estimates=estimates
-    )
+    v_bar_x, v_bar_y = point_estimate(estimates, delta_bar)
     report = EstimateReport(
         delta_bar=delta_bar,
         v_bar_x=v_bar_x,

@@ -117,6 +117,20 @@ def gibbs_update_delta(
             cache.commit_flip(j, theta_j, now)
 
 
+def _selected_block(state: ChainState, gep: GepPair, prior: PriorConfig, ladder: TemperingLadder):
+    """The loading move's selected block at the state's rung, before any
+    write: (sel, u, block, t_k, eta, lw_u, r_u, mu). block holds the trailing
+    arguments of selected_target, and mu = u + eta * grad is the MALA drift."""
+    quot_coef = quasi_scale(gep, prior)
+    t_k = float(ladder.temperatures[state.k - 1])
+    eta = float(ladder.step_sizes[state.k - 1])
+    sel = np.flatnonzero(state.delta)
+    u = state.theta[sel].copy()
+    block = (gep.A[np.ix_(sel, sel)], gep.B[np.ix_(sel, sel)], prior, quot_coef, t_k)
+    lw_u, r_u, g_u = selected_target(u, *block)
+    return sel, u, block, t_k, eta, lw_u, r_u, u + eta * g_u
+
+
 def _mala_accept(
     u: np.ndarray,
     prop: np.ndarray,
@@ -162,20 +176,11 @@ def mala_update_theta(
     (accepted, alpha, r_selected); alpha is the acceptance probability
     actually used, which the adaptive layer consumes.
     """
-    quot_coef = quasi_scale(gep, prior)
-    k = state.k
-    t_k = float(ladder.temperatures[k - 1])
-    eta = float(ladder.step_sizes[k - 1])
-    sel = np.flatnonzero(state.delta)
+    sel, u, block, t_k, eta, lw_u, r_u, mu = _selected_block(state, gep, prior, ladder)
     unsel = np.flatnonzero(state.delta == 0)
-
     state.theta[unsel] = math.sqrt(t_k / prior.rho0) * normals[: unsel.size]
     xi = normals[unsel.size :]
-
-    u = state.theta[sel].copy()
-    block = (gep.A[np.ix_(sel, sel)], gep.B[np.ix_(sel, sel)], prior, quot_coef, t_k)
-    lw_u, r_u, g_u = selected_target(u, *block)
-    prop = u + eta * g_u + math.sqrt(2.0 * eta) * xi
+    prop = mu + math.sqrt(2.0 * eta) * xi
     u_new, alpha, r_new, accepted = _mala_accept(
         u, prop, 0.5 * float(xi @ xi), lw_u, r_u, block, eta, accept_u
     )
@@ -273,8 +278,8 @@ def advance_chain(
 ):
     """One full sampler iteration in place: support sweep over a fresh random
     subset, loading update, temperature move, then the optional adaptation
-    hook (which consumes no randomness, so a frozen hook leaves the
-    trajectory bit-identical).
+    hook. The hook never sees the generator: attaching one changes the ladder
+    that later draws are applied against, never the draws themselves.
 
     All of the iteration's random numbers are drawn here, first, and the
     kernels only apply them. Returns (alpha, k_mala, r_selected) where k_mala
@@ -306,7 +311,7 @@ def run_chain(
     prior: PriorConfig,
     ladder: TemperingLadder,
     n_iters: int,
-    subset_size: int | None = None,
+    subset_size: int = DEFAULT_SUBSET_SIZE,
     seed=None,
     adapt=None,
 ) -> ChainTrace:
@@ -314,8 +319,6 @@ def run_chain(
     if n_iters < 0:
         raise DomainError("n_iters must be nonnegative")
     p = gep.p
-    if subset_size is None:
-        subset_size = min(DEFAULT_SUBSET_SIZE, p)
     rng = np.random.default_rng(seed)
 
     state = initial_state(p, rng)

@@ -23,13 +23,20 @@ DEFAULT_LAMBDA1 = 0.9
 
 @dataclass
 class PopulationModel:
-    """Ground-truth covariance and principal pair for simulation studies."""
+    """Ground-truth covariance and principal pair for simulation studies.
+    The Cholesky factor of Sigma is computed once, at construction."""
 
     Sigma: np.ndarray
     v_x_star: np.ndarray
     v_y_star: np.ndarray
     lambda1: float
-    chol: np.ndarray = field(repr=False, default=None)
+    chol: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        try:
+            self.chol = np.linalg.cholesky(self.Sigma)
+        except np.linalg.LinAlgError as exc:
+            raise NotPositiveDefiniteError("population covariance is not PD") from exc
 
     @property
     def p(self) -> int:
@@ -84,25 +91,13 @@ def build_population_cov(p: int, lambda1: float = DEFAULT_LAMBDA1) -> Population
     Sigma[m:, m:] = Sx
     Sigma[:m, m:] = Sxy
     Sigma[m:, :m] = Sxy.T
-    try:
-        chol = np.linalg.cholesky(Sigma)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError("population covariance is not PD") from exc
-    return PopulationModel(
-        Sigma=Sigma, v_x_star=v.copy(), v_y_star=v.copy(), lambda1=lambda1, chol=chol
-    )
+    return PopulationModel(Sigma=Sigma, v_x_star=v.copy(), v_y_star=v.copy(), lambda1=lambda1)
 
 
 def sample_gaussian_pairs(model: PopulationModel, n: int, seed) -> Dataset:
     """Draw n i.i.d. pairs from Normal(0, Sigma), deterministically in seed."""
     rng = np.random.default_rng(seed)
-    chol = model.chol
-    if chol is None:
-        try:
-            chol = np.linalg.cholesky(model.Sigma)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError("covariance is not PD") from exc
-    draws = rng.standard_normal((n, model.p)) @ chol.T
+    draws = rng.standard_normal((n, model.p)) @ model.chol.T
     m = model.p_x
     return Dataset(X=draws[:, :m], Y=draws[:, m:])
 

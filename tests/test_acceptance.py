@@ -59,6 +59,8 @@ from stcca.simdata import (
     truncate_copula,
 )
 
+from helpers import population_gep
+
 
 def _report(capsys, label, ok, detail):
     line = f"ACCEPTANCE {label}: {'PASS' if ok else 'FAIL'} - {detail}"
@@ -67,21 +69,9 @@ def _report(capsys, label, ok, detail):
     assert ok, line
 
 
-def _population_gep(p, n=None):
-    model = build_population_cov(p)
-    px = model.p_x
-    gep = assemble_gep(
-        model.Sigma[:px, :px],
-        model.Sigma[px:, px:],
-        model.Sigma[:px, px:],
-        n=n,
-    )
-    return model, gep
-
-
 def test_acceptance_1_population_eigenpair(capsys):
     t0 = time.perf_counter()
-    model, gep = _population_gep(20)
+    model, gep = build_population_cov(20), population_gep(20, None)
     evals, evecs = eigh(gep.A, gep.B)
     top = float(evals[-1])
     w = evecs[:, -1]
@@ -98,7 +88,7 @@ def test_acceptance_1_population_eigenpair(capsys):
 
 def test_acceptance_2_gradient_matches_differences(capsys):
     t0 = time.perf_counter()
-    _, gep = _population_gep(10, n=60)
+    gep = population_gep(10, 60)
     prior = PriorConfig.defaults(10)
     ladder = TemperingLadder.for_dimension(10)
     rng = np.random.default_rng(42)
@@ -130,7 +120,7 @@ def test_acceptance_2_gradient_matches_differences(capsys):
 
 
 def test_acceptance_3_kernel_dynamics(capsys):
-    _, gep = _population_gep(10, n=60)
+    gep = population_gep(10, 60)
     prior = PriorConfig.defaults(10)
     ladder = TemperingLadder.for_dimension(10)
 
@@ -157,7 +147,9 @@ def test_acceptance_3_kernel_dynamics(capsys):
     # the reference curve is still built numerically from the log density.
     gep2 = assemble_gep(np.eye(1), np.eye(1), np.zeros((1, 1)), n=50)
     prior2 = PriorConfig.defaults(2)
-    ladder2 = TemperingLadder(temperatures=np.array([1.0]), step_sizes=np.array([1.0]))
+    ladder2 = TemperingLadder(
+        temperatures=np.array([1.0]), log_weights=np.zeros(1), step_sizes=np.array([1.0])
+    )
     state = ChainState(delta=np.array([1, 0], dtype=np.uint8), theta=np.array([0.5, 0.0]), k=1)
     rng = np.random.default_rng(2718)
     steps = 100_000
@@ -178,9 +170,11 @@ def test_acceptance_3_kernel_dynamics(capsys):
     ks = float(np.max(np.abs(ranks - np.arange(1, steps + 1) / steps)))
 
     # Temperature occupancy against the normalized level weights.
+    temps2 = np.array([1.0, 1.0 / 0.9])
     lad2 = TemperingLadder(
-        temperatures=np.array([1.0, 1.0 / 0.9]),
+        temperatures=temps2,
         log_weights=np.array([0.0, 0.3]),
+        step_sizes=0.1 * temps2,
     )
     lp = 5.0
     log_w = -lad2.log_weights + lp / lad2.temperatures
@@ -231,7 +225,7 @@ def _chisq_homogeneity(counts_a, counts_b):
 def test_acceptance_4_coupled_kernel_fidelity(capsys):
     # A weak-signal problem with a soft prior keeps every kernel genuinely
     # random at the warmed states, so the two-sample checks have power.
-    _, gep = _population_gep(10, n=6)
+    gep = population_gep(10, 6)
     prior = PriorConfig(rho0=10.0, rho1=0.5, q=0.3, sigma=1.0)
     ladder = TemperingLadder.for_dimension(10)
     base1 = _warm_state(gep, prior, ladder, seed=7)
@@ -510,7 +504,7 @@ def test_acceptance_7_meeting_time_scaling(capsys):
     all_met = True
     monotone = True
     for p in (50, 100):
-        _, gep = _population_gep(p, n=10)
+        gep = population_gep(p, 10)
         prior = PriorConfig.defaults(p)
         times = replicate_meeting_times(
             gep, prior, 20, DEFAULT_TEMPERATURES,

@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 from stcca.adapt import (
+    AdaptiveHook,
     AdaptState,
     adapt_step_size,
     flatness_check,
     run_adaptive_chain,
     wang_landau_update,
 )
-from stcca.covariance import assemble_gep, estimate_gep
+from stcca.covariance import estimate_gep
 from stcca.errors import DomainError
 from stcca.model import ChainState, PriorConfig, TemperingLadder, log_quasi_posterior
-from stcca.sampler import run_chain, temperature_update
+from stcca.sampler import advance_chain, draw_subset, initial_state, temperature_update
 from stcca.simdata import build_population_cov, sample_gaussian_pairs
 
 TEMPS5 = (1.0, 1 / 0.9, 1 / 0.8, 1 / 0.7, 1 / 0.6)
@@ -136,16 +137,28 @@ class TestRunAdaptiveChain:
         assert adapt.a_wl == pytest.approx(10.0 * 2.0**-n)
         assert np.all(trace.k == 1)
 
-    def test_frozen_matches_plain_chain_bitwise(self):
+    @pytest.mark.parametrize("temps", [(1.0,), TEMPS5], ids=["K1", "K5"])
+    def test_hook_draws_nothing(self, temps):
+        # one iteration with the hook attached leaves the generator where its
+        # draw record does: the subset, J uniforms, p normals, the MALA
+        # acceptance uniform and, at K > 1, the temperature move's two
         gep = small_problem()
         prior = PriorConfig.defaults(20)
-        trace_a, adapt = run_adaptive_chain(gep, prior, TEMPS5, 200, seed=11, frozen=True)
-        assert adapt.a_wl == 10.0 and adapt.n_resets == 0
-        ladder = TemperingLadder.for_dimension(20, TEMPS5)
-        trace_b = run_chain(gep, prior, ladder, 200, seed=11)
-        assert np.array_equal(trace_a.delta, trace_b.delta)
-        assert np.array_equal(trace_a.theta, trace_b.theta)
-        assert np.array_equal(trace_a.k, trace_b.k)
+        ladder = TemperingLadder.for_dimension(20, temps)
+        hook = AdaptiveHook(AdaptState.for_ladder(ladder), ladder)
+        rng = np.random.default_rng(11)
+        probe = np.random.default_rng(11)
+        state = initial_state(20, rng)
+        initial_state(20, probe)
+        advance_chain(state, gep, prior, ladder, 10, rng, adapt=hook)
+        draw_subset(20, 10, probe)
+        probe.random(10)
+        probe.standard_normal(20)
+        probe.random()
+        if len(temps) > 1:
+            probe.random(2)
+        assert rng.bit_generator.state == probe.bit_generator.state
+        assert hook.a_wl_path == [hook.adapt.a_wl]
 
     def test_determinism(self):
         gep = small_problem()

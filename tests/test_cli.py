@@ -5,9 +5,14 @@ import json
 import numpy as np
 import pytest
 
+from stcca.adapt import run_adaptive_chain
 from stcca.cli import aggregate_replications, main, validate_config
+from stcca.coupling import coupling_limits
 from stcca.covariance import Dataset, estimate_gep
 from stcca.errors import ConfigError, EmptyInputError
+from stcca.model import DEFAULT_TEMPERATURES, PriorConfig
+from stcca.postprocess import build_report
+from stcca.simdata import build_population_cov, sample_gaussian_pairs
 
 
 def run_cli(args):
@@ -57,7 +62,7 @@ class TestConfigValidation:
     def test_bad_prior_and_scalars(self):
         with pytest.raises(ConfigError):
             validate_config({"rho0": 0.1, "rho1": 0.5}, "sample")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^invalid prior settings: q must lie in \(0, 1\)$"):
             validate_config({"q": 1.5}, "sample")
         with pytest.raises(ConfigError):
             validate_config({"n": 0}, "sample")
@@ -205,6 +210,41 @@ class TestSamplePipeline:
         assert run_cli(SMALL_SAMPLE + ["--seeds", "[0,1]", "--jobs", 2, "--out", b]) == 0
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
         assert (a / "trace_s1.csv").read_bytes() == (b / "trace_s1.csv").read_bytes()
+
+
+class TestSameMethodAsLibrary:
+    """The CLI's defaults are the library's: a config that sets no method
+    key runs exactly the sampler a library caller gets by default."""
+
+    def test_sample_equals_library_pipeline(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli(["sample", "--p_x", 10, "--p_y", 10, "--n", 30, "--N", 80,
+                        "--out", out]) == 0
+        got = json.loads((out / "report.json").read_text())["replications"]
+
+        # the documented stream layout: seed 0 spawns (data, chain)
+        data_ss, chain_ss = np.random.SeedSequence(0).spawn(2)
+        model = build_population_cov(20)
+        gep = estimate_gep(sample_gaussian_pairs(model, 30, data_ss))
+        trace, _ = run_adaptive_chain(
+            gep, PriorConfig.defaults(20), DEFAULT_TEMPERATURES, 80, seed=chain_ss
+        )
+        want = build_report(trace, 10, truth_x=model.v_x_star, truth_y=model.v_y_star)
+
+        assert len(got) == 1 and got[0]["seed"] == 0
+        rep = got[0]
+        assert rep["p_x"] == want.p_x
+        assert rep["n_samples"] == want.n_samples
+        assert rep["n_skipped"] == want.n_skipped
+        for name in ("delta_bar", "v_bar_x", "v_bar_y", "inclusion_probs"):
+            assert rep[name] == getattr(want, name).tolist(), name
+        for name in ("mse_x", "mse_y", "tpr_x", "tpr_y", "tnr_x", "tnr_y"):
+            assert rep[name] == getattr(want, name), name
+
+    @pytest.mark.parametrize("p", [10, 20, 100])
+    def test_couple_limits_are_the_coupling_default(self, p):
+        cfg = validate_config({}, "couple")
+        assert cfg.couple_limits(p) == coupling_limits(p, None, None) == (p, 10 * p + 1000)
 
 
 class TestStageRoundTrips:

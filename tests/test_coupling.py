@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from stcca.covariance import GepPair, assemble_gep
+from stcca.covariance import GepPair
 from stcca.coupling import (
     CoupledState,
     coupled_gibbs_step,
@@ -31,34 +31,11 @@ from stcca.model import (
 from stcca.sampler import (
     gibbs_success_prob,
     gibbs_update_delta,
-    initial_state,
     mala_update_theta,
     temperature_update,
 )
-from stcca.simdata import build_population_cov
 
-
-def random_gep(rng, p_x, p_y, n=50) -> GepPair:
-    p = p_x + p_y
-    G = rng.standard_normal((2 * p, p))
-    S = G.T @ G / (2 * p)
-    return assemble_gep(S[:p_x, :p_x], S[p_x:, p_x:], S[:p_x, p_x:], n=n)
-
-
-def population_gep(p, n) -> GepPair:
-    model = build_population_cov(p)
-    px = model.p_x
-    S = model.Sigma
-    return assemble_gep(S[:px, :px], S[px:, px:], S[:px, px:], n=n)
-
-
-def flat_ladder(K=3, p=6, temps=None) -> TemperingLadder:
-    t = np.asarray(temps if temps is not None else np.linspace(1.0, 1.5, K))
-    return TemperingLadder(
-        temperatures=t,
-        log_weights=np.zeros(t.size),
-        step_sizes=0.5 * t / float(p),
-    )
+from helpers import population_gep, random_gep
 
 
 def make_state(rng, p, delta=None, k=1) -> ChainState:
@@ -123,7 +100,7 @@ class TestCoupledGibbs:
         for trial in range(10):
             gep = random_gep(rng, 3, 3, n=40)
             prior = PriorConfig.defaults(6)
-            ladder = flat_ladder(3, 6)
+            ladder = TemperingLadder.for_dimension(6, np.linspace(1.0, 1.5, 3))
             seed = 100 + trial
             pair = make_pair(np.random.default_rng(seed), 6, k1=2, k2=3)
             solo = ChainState(
@@ -142,7 +119,7 @@ class TestCoupledGibbs:
         for trial in range(20):
             gep = random_gep(rng, 3, 2, n=30)
             prior = PriorConfig.defaults(5)
-            ladder = flat_ladder(2, 5)
+            ladder = TemperingLadder.for_dimension(5, np.linspace(1.0, 1.5, 2))
             a = make_state(rng, 5, k=2)
             b = ChainState(delta=a.delta.copy(), theta=a.theta.copy(), k=a.k)
             pair = CoupledState(chain1=a, chain2=b, lag=1)
@@ -155,7 +132,7 @@ class TestCoupledGibbs:
         rng = np.random.default_rng(5)
         gep = random_gep(rng, 2, 2, n=60)
         prior = PriorConfig.defaults(4)
-        ladder = flat_ladder(2, 4)
+        ladder = TemperingLadder.for_dimension(4, np.linspace(1.0, 1.5, 2))
         base1 = make_state(rng, 4, delta=[1, 0, 1, 0], k=1)
         base2 = make_state(rng, 4, delta=[1, 1, 0, 0], k=2)
         j = 3
@@ -184,7 +161,7 @@ class TestCoupledTheta:
         for trial in range(50):
             gep = random_gep(rng, 3, 3, n=40)
             prior = PriorConfig.defaults(6)
-            ladder = flat_ladder(3, 6)
+            ladder = TemperingLadder.for_dimension(6, np.linspace(1.0, 1.5, 3))
             a = make_state(rng, 6, k=int(rng.integers(1, 4)))
             b = ChainState(delta=a.delta.copy(), theta=a.theta.copy(), k=a.k)
             pair = CoupledState(chain1=a, chain2=b, lag=1)
@@ -197,7 +174,7 @@ class TestCoupledTheta:
         rng = np.random.default_rng(7)
         gep = random_gep(rng, 3, 3, n=40)
         prior = PriorConfig.defaults(6)
-        ladder = flat_ladder(3, 6)
+        ladder = TemperingLadder.for_dimension(6, np.linspace(1.0, 1.5, 3))
         a = make_state(rng, 6, delta=[1, 0, 0, 1, 0, 0], k=1)
         b = make_state(rng, 6, delta=[0, 1, 0, 1, 0, 0], k=3)
         pair = CoupledState(chain1=a, chain2=b, lag=1)
@@ -214,7 +191,7 @@ class TestCoupledTheta:
         rng = np.random.default_rng(8)
         gep = random_gep(rng, 2, 2, n=40)
         prior = PriorConfig.defaults(4)
-        ladder = flat_ladder(2, 4, temps=[1.0, 1.3])
+        ladder = TemperingLadder.for_dimension(4, [1.0, 1.3])
         seed = 99
         a = make_state(np.random.default_rng(seed), 4, delta=[1, 0, 0, 1], k=1)
         b = ChainState(delta=np.array([0, 0, 0, 1]), theta=a.theta.copy(), k=1)
@@ -235,7 +212,7 @@ class TestCoupledTheta:
         rng = np.random.default_rng(9)
         gep = random_gep(rng, 2, 2, n=60)
         prior = PriorConfig.defaults(4)
-        ladder = flat_ladder(2, 4)
+        ladder = TemperingLadder.for_dimension(4, np.linspace(1.0, 1.5, 2))
         d1 = np.array([1, 0, 0, 1])
         d2 = np.array([0, 1, 0, 1])
         theta0 = np.random.default_rng(11).standard_normal(4)
@@ -296,7 +273,7 @@ class TestCoupledTemperature:
         rng = np.random.default_rng(12)
         gep = random_gep(rng, 2, 2, n=30)
         prior = PriorConfig.defaults(4)
-        ladder = flat_ladder(4, 4)
+        ladder = TemperingLadder.for_dimension(4, np.linspace(1.0, 1.5, 4))
         for trial in range(30):
             lp1 = float(rng.normal())
             lp2 = float(rng.normal())
@@ -315,7 +292,7 @@ class TestCoupledTemperature:
         rng = np.random.default_rng(13)
         gep = random_gep(rng, 2, 2, n=30)
         prior = PriorConfig.defaults(4)
-        ladder = flat_ladder(5, 4)
+        ladder = TemperingLadder.for_dimension(4, np.linspace(1.0, 1.5, 5))
         for trial in range(40):
             k0 = int(rng.integers(1, 6))
             lp = float(rng.normal())
@@ -333,7 +310,7 @@ class TestCoupledTemperature:
         rng = np.random.default_rng(14)
         gep = random_gep(rng, 2, 2, n=30)
         prior = PriorConfig.defaults(4)
-        ladder = flat_ladder(3, 4)
+        ladder = TemperingLadder.for_dimension(4, np.linspace(1.0, 1.5, 3))
         merged = 0
         for trial in range(200):
             a = make_state(rng, 4, k=1)
@@ -378,7 +355,7 @@ class TestCoupledStep:
         rng = np.random.default_rng(15)
         gep = random_gep(rng, 3, 3, n=40)
         prior = PriorConfig.defaults(6)
-        ladder = flat_ladder(3, 6)
+        ladder = TemperingLadder.for_dimension(6, np.linspace(1.0, 1.5, 3))
         a = make_state(rng, 6, k=2)
         b = ChainState(delta=a.delta.copy(), theta=a.theta.copy(), k=a.k)
         pair = CoupledState(chain1=a, chain2=b, lag=2)
@@ -396,7 +373,7 @@ class TestCoupledStep:
         rng = np.random.default_rng(seed)
         gep = random_gep(rng, p // 2, p - p // 2, n=40)
         prior = PriorConfig.defaults(p)
-        ladder = flat_ladder(3, p)
+        ladder = TemperingLadder.for_dimension(p, np.linspace(1.0, 1.5, 3))
         a = make_state(rng, p, k=k)
         b = ChainState(delta=a.delta.copy(), theta=a.theta.copy(), k=a.k)
         pair = CoupledState(chain1=a, chain2=b, lag=2)

@@ -24,13 +24,7 @@ from stcca.model import (
     rayleigh_selected,
 )
 
-
-def random_gep(rng, p_x, p_y, n=50) -> GepPair:
-    """Well-conditioned random instance: PD B, generic cross block."""
-    p = p_x + p_y
-    G = rng.standard_normal((2 * p, p))
-    S = G.T @ G / (2 * p)
-    return assemble_gep(S[:p_x, :p_x], S[p_x:, p_x:], S[:p_x, p_x:], n=n)
+from helpers import random_gep
 
 
 def toy_gep(n=None) -> GepPair:
@@ -71,13 +65,15 @@ class TestTemperingLadder:
         assert np.all(lad.log_weights == 0.0)
 
     def test_validation(self):
-        with pytest.raises(DomainError):
-            TemperingLadder(temperatures=np.array([2.0, 3.0]))
-        with pytest.raises(DomainError):
-            TemperingLadder(temperatures=np.array([1.0, 1.0]))
+        for t in ([2.0, 3.0], [1.0, 1.0]):
+            t = np.array(t)
+            with pytest.raises(DomainError):
+                TemperingLadder(temperatures=t, log_weights=np.zeros(2), step_sizes=0.1 * t)
         with pytest.raises(DomainError):
             TemperingLadder(
-                temperatures=np.array([1.0, 2.0]), step_sizes=np.array([0.1, 0.0])
+                temperatures=np.array([1.0, 2.0]),
+                log_weights=np.zeros(2),
+                step_sizes=np.array([0.1, 0.0]),
             )
 
     def test_copy_is_independent(self):

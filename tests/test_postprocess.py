@@ -74,18 +74,6 @@ class TestExtractPosteriorSamples:
             expected = [t for t in range(n + 1) if t >= 3 * n / 4 and k[t] == 1]
             assert extract_posterior_samples(tr).tolist() == expected
 
-    def test_prefix_restriction(self):
-        tr = constant_trace(20, [1, 1], [1.0, 1.0])
-        idx = extract_posterior_samples(tr, n_iters=8)
-        assert idx.tolist() == [6, 7, 8]
-
-    def test_n_iters_out_of_range(self):
-        tr = constant_trace(4, [1, 1], [1.0, 1.0])
-        with pytest.raises(DomainError):
-            extract_posterior_samples(tr, n_iters=5)
-        with pytest.raises(DomainError):
-            extract_posterior_samples(tr, n_iters=-1)
-
     def test_single_row(self):
         tr = constant_trace(0, [1, 0], [1.0, 0.0], k_value=1)
         assert extract_posterior_samples(tr).tolist() == [0]
@@ -189,7 +177,7 @@ class TestPointEstimate:
         delta = np.array([1, 1, 1, 1], dtype=np.uint8)
         tr = constant_trace(4, delta, theta)
         samples = np.arange(5)
-        vx, vy = point_estimate(tr, samples, delta, p_x=2)
+        vx, vy = point_estimate(per_sample_estimates(tr, samples, p_x=2), delta)
         assert np.allclose(vx, [0.6, 0.8])
         assert np.allclose(vy, [np.sqrt(0.5), np.sqrt(0.5)])
 
@@ -198,7 +186,7 @@ class TestPointEstimate:
         delta = np.ones((2, 4), dtype=np.uint8)
         tr = toy_trace(np.vstack([delta]), np.vstack([theta, -theta]),
                        np.ones(2, dtype=np.int64))
-        vx, vy = point_estimate(tr, [0, 1], np.array([1, 1, 1, 1]), p_x=2)
+        vx, vy = point_estimate(per_sample_estimates(tr, [0, 1], p_x=2), np.array([1, 1, 1, 1]))
         assert np.allclose(vx, [0.6, 0.8])
         assert np.allclose(vy, [0.0, 1.0])
 
@@ -217,28 +205,28 @@ class TestPointEstimate:
         )
         delta = np.ones((3, 4), dtype=np.uint8)
         tr = toy_trace(delta, theta, np.ones(3, dtype=np.int64))
-        vx, vy = point_estimate(tr, [0, 1, 2], np.array([1, 1, 0, 1]), p_x=2)
+        vx, vy = point_estimate(per_sample_estimates(tr, [0, 1, 2], p_x=2), np.array([1, 1, 0, 1]))
         assert np.allclose(vx, np.array([10.0, 11.0]) / np.sqrt(221.0))
         assert np.allclose(vy, [0.0, 1.0])
 
     def test_gate_zeroes_coordinates(self):
         theta = np.array([3.0, 4.0, 1.0, 1.0])
         tr = constant_trace(2, [1, 1, 1, 1], theta)
-        vx, vy = point_estimate(tr, [0, 1, 2], np.array([1, 0, 1, 1]), p_x=2)
+        vx, vy = point_estimate(per_sample_estimates(tr, [0, 1, 2], p_x=2), np.array([1, 0, 1, 1]))
         assert vx[1] == 0.0
         assert np.allclose(vx, [1.0, 0.0])
 
     def test_degenerate_gate_errors(self):
         tr = constant_trace(2, [1, 1, 1, 1], [1.0, 1.0, 1.0, 1.0])
         with pytest.raises(DegenerateEstimateError):
-            point_estimate(tr, [0, 1], np.array([1, 1, 0, 0]), p_x=2)
+            point_estimate(per_sample_estimates(tr, [0, 1], p_x=2), np.array([1, 1, 0, 0]))
         with pytest.raises(DegenerateEstimateError):
-            point_estimate(tr, [0, 1], np.zeros(4, dtype=np.uint8), p_x=2)
+            point_estimate(per_sample_estimates(tr, [0, 1], p_x=2), np.zeros(4, dtype=np.uint8))
 
     def test_gate_length_checked(self):
         tr = constant_trace(2, [1, 1, 1, 1], [1.0, 1.0, 1.0, 1.0])
         with pytest.raises(DimensionMismatchError):
-            point_estimate(tr, [0], np.array([1, 1, 1]), p_x=2)
+            point_estimate(per_sample_estimates(tr, [0], p_x=2), np.array([1, 1, 1]))
 
 
 class TestMse:

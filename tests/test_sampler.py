@@ -12,7 +12,6 @@ from stcca.errors import DomainError
 from stcca.model import (
     ChainState,
     PriorConfig,
-    QuadraticCache,
     TemperingLadder,
     grad_selected,
     log_quasi_posterior,
@@ -29,12 +28,7 @@ from stcca.sampler import (
     temperature_update,
 )
 
-
-def random_gep(rng, p_x, p_y, n=50) -> GepPair:
-    p = p_x + p_y
-    G = rng.standard_normal((2 * p, p))
-    S = G.T @ G / (2 * p)
-    return assemble_gep(S[:p_x, :p_x], S[p_x:, p_x:], S[:p_x, p_x:], n=n)
+from helpers import random_gep
 
 
 def planted_gep(n=200) -> GepPair:
@@ -116,7 +110,9 @@ class TestGibbsSuccessProb:
         g = assemble_gep(Sx, Sx, np.zeros((2, 2)), n=30)
         prior = PriorConfig(rho0=3.0, rho1=3.0, q=0.2)
         lad = TemperingLadder(
-            temperatures=np.array([1.0, 2.0]), step_sizes=np.array([0.1, 0.1])
+            temperatures=np.array([1.0, 2.0]),
+            log_weights=np.zeros(2),
+            step_sizes=np.array([0.1, 0.1]),
         )
         rng = np.random.default_rng(6)
         state = ChainState(
@@ -244,6 +240,7 @@ class TestMalaUpdateTheta:
         prior = PriorConfig.defaults(6)
         lad = TemperingLadder(
             temperatures=np.array([1.0, 1.5]),
+            log_weights=np.zeros(2),
             step_sizes=np.array([1e-12, 1e-12]),
         )
         state = ChainState(delta=np.array([1, 1, 0, 1, 0, 0]), theta=rng.standard_normal(6))
@@ -258,7 +255,9 @@ class TestMalaUpdateTheta:
         g = random_gep(rng, 2, 2, n=40)
         prior = PriorConfig.defaults(4)
         lad = TemperingLadder(
-            temperatures=np.array([1.0, 2.0]), step_sizes=np.array([0.05, 0.05])
+            temperatures=np.array([1.0, 2.0]),
+            log_weights=np.zeros(2),
+            step_sizes=np.array([0.05, 0.05]),
         )
         state = ChainState(
             delta=np.array([1, 0, 0, 1]), theta=rng.standard_normal(4), k=2
@@ -279,7 +278,9 @@ class TestMalaUpdateTheta:
         g = random_gep(rng, 2, 2, n=40)
         prior = PriorConfig.defaults(4)
         lad = TemperingLadder(
-            temperatures=np.array([1.0, 1.25]), step_sizes=np.array([1.5, 1.5])
+            temperatures=np.array([1.0, 1.25]),
+            log_weights=np.zeros(2),
+            step_sizes=np.array([1.5, 1.5]),
         )
         state = ChainState(delta=np.array([0, 0, 1, 0]), theta=rng.standard_normal(4), k=2)
         xs = np.empty(25_000)
@@ -296,7 +297,9 @@ class TestMalaUpdateTheta:
             np.array([[1.0]]), np.array([[-0.5]]), np.array([[0.3]]), n=20
         )
         prior = PriorConfig.defaults(2)
-        lad = TemperingLadder(temperatures=np.array([1.0]), step_sizes=np.array([0.01]))
+        lad = TemperingLadder(
+            temperatures=np.array([1.0]), log_weights=np.zeros(1), step_sizes=np.array([0.01])
+        )
         delta = np.array([1, 1])
         theta0 = np.array([1.0, 0.5])
         state = ChainState(delta=delta.copy(), theta=theta0.copy())
@@ -327,7 +330,7 @@ class TestTemperatureUpdate:
         temps = 1.0 + 0.5 * np.arange(K)
         lad = TemperingLadder(
             temperatures=temps,
-            log_weights=log_weights,
+            log_weights=np.zeros(K) if log_weights is None else log_weights,
             step_sizes=np.full(K, 0.1),
         )
         state = ChainState(delta=np.array([1, 0, 1, 0]), theta=rng.standard_normal(4))
