@@ -10,8 +10,10 @@ operation differ from an untraced one, fails the benchmark; this test makes
 it fail here first. It reads perfbench/ and changes nothing there.
 
 It also pins the SHA-256 of operation 0's digest item for each workload at
-``tiny=True``, seed 7, as recorded before the default-consolidation refactor:
-a change to stcca that moves one byte of a benchmark output fails here.
+``tiny=True``, seed 7, recorded before the library's defaults were written
+once: a change to stcca that moves one byte of a benchmark output fails
+here. A deliberate output change must re-record them and say so in
+CHANGES.md.
 """
 
 from __future__ import annotations
