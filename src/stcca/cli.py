@@ -342,56 +342,61 @@ def _is_number(s: str) -> bool:
     return True
 
 
-def _write_trace_csv(path: Path, trace, thin: int) -> None:
-    p = trace.p
-    header = (
-        ["iter", "k", "support_size", "rayleigh"]
-        + [f"delta_{j}" for j in range(p)]
-        + [f"theta_{j}" for j in range(p)]
-    )
+_TRACE_HEADER = ["iter", "k", "support_size", "rayleigh", "index", "theta"]
+
+
+def _write_trace_csv(path: Path, trace, thin: int, p_x: int) -> None:
+    # sparse: the view split, then per state its active (index, theta) pairs
     support = trace.support_sizes()
     keep = sorted(set(range(0, trace.n_iters + 1, thin)) | {trace.n_iters})
-    rows = []
+    rows = [["p_x", "p_y"], [str(p_x), str(trace.p - p_x)], _TRACE_HEADER]
     for it in keep:
-        rows.append(
-            [str(it), str(int(trace.k[it])), str(int(support[it])), _fmt(trace.rayleigh[it])]
-            + [str(int(b)) for b in trace.delta[it]]
-            + [_fmt(x) for x in trace.theta[it]]
-        )
-    _write_csv(path, header, rows)
+        row = [str(it), str(int(trace.k[it])), str(int(support[it])), _fmt(trace.rayleigh[it])]
+        for j in np.flatnonzero(trace.delta[it]):
+            row += [str(j), _fmt(trace.theta[it, j])]
+        rows.append(row)
+    _write_csv(path, None, rows)
 
 
 def _read_trace_csv(path: Path):
+    """(trace, p_x) from a sparse trace CSV; unselected loadings read as 0.0."""
     if not path.is_file():
         raise ConfigError(f"missing trace file {path}")
-    with path.open(encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:4] != ["iter", "k", "support_size", "rayleigh"]:
-            raise ConfigError(f"{path} is not a trace CSV")
-        p = sum(1 for h in header if h.startswith("delta_"))
-        if p == 0 or len(header) != 4 + 2 * p:
-            raise ConfigError(f"{path} has a malformed trace header")
-        rows = [row for row in reader if row]
+    try:
+        with path.open(encoding="utf-8", newline="") as fh:
+            lines = [row for row in csv.reader(fh) if row]
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not a sparse trace CSV: {exc}")
+    if lines[:1] != [["p_x", "p_y"]] or lines[2:3] != [_TRACE_HEADER]:
+        raise ConfigError(f"{path} is not a sparse trace CSV")
+    rows = lines[3:]
+    try:
+        p_x, p_y = (int(x) for x in lines[1])
+    except ValueError:
+        p_x = p_y = 0
+    if min(p_x, p_y) < 1:
+        raise ConfigError(f"{path} has a malformed view split {','.join(lines[1])}")
     if not rows:
         raise ConfigError(f"{path} holds no states")
-    for r in rows:
-        if len(r) != len(header):
-            raise ConfigError(f"{path} has a row of {len(r)} cells, expected {len(header)}")
-    try:
-        iters = np.array([int(r[0]) for r in rows], dtype=np.int64)
-        delta = [[int(x) for x in r[4 : 4 + p]] for r in rows]
-        theta = np.array([[float(x) for x in r[4 + p :]] for r in rows], dtype=float)
-        k = np.array([int(r[1]) for r in rows], dtype=np.int64)
-        rayleigh = np.array([float(r[3]) for r in rows])
-    except ValueError as exc:
-        raise ConfigError(f"{path} has non-numeric cells: {exc}")
-    if not set().union(*delta) <= {0, 1}:
-        raise ConfigError(f"{path} has support cells outside {{0, 1}}")
-    return ChainTrace(
-        delta=np.array(delta, dtype=np.uint8), theta=theta, k=k, rayleigh=rayleigh,
-        n_iters=int(iters[-1]), iters=iters,
-    )
+    delta = np.zeros((len(rows), p_x + p_y), dtype=np.uint8)
+    theta = np.zeros(delta.shape)
+    head = []
+    for i, r in enumerate(rows):
+        try:
+            head.append((int(r[0]), int(r[1]), int(r[2]), float(r[3])))
+            idx, vals = [int(j) for j in r[4::2]], [float(x) for x in r[5::2]]
+        except (IndexError, ValueError) as exc:
+            raise ConfigError(f"{path} has a malformed state row {i}: {exc}")
+        if len(r) != 4 + 2 * head[i][2]:
+            raise ConfigError(f"{path} has a row of {len(r)} cells, support_size {r[2]}")
+        if idx and not (0 <= idx[0] and idx[-1] < delta.shape[1] and np.all(np.diff(idx) > 0)):
+            raise ConfigError(f"{path} has indices that are not increasing in [0, {delta.shape[1]})")
+        delta[i, idx], theta[i, idx] = 1, vals
+    iters, k, _, rayleigh = (np.array(c) for c in zip(*head))
+    if iters[0] != 0 or np.any(np.diff(iters) <= 0):
+        raise ConfigError(f"{path} has iterations that do not start at 0 and increase strictly")
+    return ChainTrace(delta=delta, theta=theta, k=k, rayleigh=rayleigh,
+                      n_iters=int(iters[-1]), iters=iters), p_x
 
 
 def _report_dict(rep: EstimateReport, seed=None) -> dict:
@@ -624,7 +629,7 @@ def cmd_sample(cfg: ExperimentConfig, args, out_dir: Path) -> None:
     _echo_config(cfg, "sample", out_dir)
     rep_dicts = []
     for seed, trace, report in results:
-        _write_trace_csv(out_dir / f"trace_s{seed}.csv", trace, cfg.thin)
+        _write_trace_csv(out_dir / f"trace_s{seed}.csv", trace, cfg.thin, cfg.p_x)
         rep_dicts.append(_report_dict(report, seed=seed))
     _dump_json(
         out_dir / "report.json",
@@ -699,11 +704,10 @@ def cmd_couple(cfg: ExperimentConfig, args, out_dir: Path) -> None:
 
 
 def cmd_report(cfg: ExperimentConfig, args, out_dir: Path) -> None:
-    trace = _read_trace_csv(Path(args.trace))
-    if trace.p != cfg.p:
-        raise ConfigError(
-            f"trace dimension {trace.p} does not match config p = {cfg.p}"
-        )
+    trace, p_x = _read_trace_csv(Path(args.trace))
+    if (p_x, trace.p - p_x) != (cfg.p_x, cfg.p_y):
+        raise ConfigError(f"{args.trace} records p_x = {p_x}, p_y = {trace.p - p_x}, "
+                          f"but the config has p_x = {cfg.p_x}, p_y = {cfg.p_y}")
     truth_x, truth_y = (None, None) if args.truth is None else _load_truth(args.truth)
 
     # the trace carries its iteration numbers, so a thinned trace keeps the

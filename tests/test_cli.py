@@ -1,17 +1,30 @@
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stcca.adapt import run_adaptive_chain
-from stcca.cli import aggregate_replications, main, validate_config
+from stcca.cli import (
+    _jsonable,
+    _read_trace_csv,
+    _report_dict,
+    _write_trace_csv,
+    aggregate_replications,
+    main,
+    validate_config,
+)
 from stcca.coupling import coupling_limits
 from stcca.covariance import Dataset, estimate_gep
-from stcca.errors import ConfigError, EmptyInputError
+from stcca.errors import ConfigError, EmptyInputError, StccaError
 from stcca.model import DEFAULT_TEMPERATURES, PriorConfig
 from stcca.postprocess import build_report
+from stcca.sampler import ChainTrace
 from stcca.simdata import build_population_cov, sample_gaussian_pairs
 
 
@@ -141,30 +154,80 @@ class TestErrorSurface:
         record = json.loads(capsys.readouterr().err)
         assert "error" in record and "message" in record
 
-    # "300", "-1" and "2" are support cells outside {0, 1}
-    @pytest.mark.parametrize("damage", ["truncate", "non_numeric", "300", "-1", "2"])
-    def test_malformed_trace_row_structured_error(self, tmp_path, capsys, damage):
-        run_dir = tmp_path / "run"
-        assert run_cli(SMALL_SAMPLE + ["--seed", 0, "--out", run_dir]) == 0
-        trace = run_dir / "trace_s0.csv"
-        lines = trace.read_text().splitlines()
-        cells = lines[5].split(",")
-        if damage == "truncate":
-            cells = cells[:-3]
-        elif damage == "non_numeric":
-            cells[4 + 20] = "abc"
-        else:
-            cells[4 + 3] = damage
-        lines[5] = ",".join(cells)
-        trace.write_text("\n".join(lines) + "\n")
+    def report_fails_on(self, tmp_path, capsys, trace, args=("--p_x", 10, "--p_y", 10)):
         capsys.readouterr()
-        rc = run_cli(["report", "--p_x", 10, "--p_y", 10,
-                      "--trace", trace, "--out", tmp_path / "rep"])
+        rc = run_cli(["report", *args, "--trace", trace, "--out", tmp_path / "rep"])
         assert rc == 2
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ConfigError"
         assert str(trace) in record["message"]
         assert not (tmp_path / "rep").exists()
+        return record["message"]
+
+    # a state row is iter, k, support_size, rayleigh, then (index, theta)
+    # pairs: "300" and "-1" are indices outside [0, 20), "2" repeats the
+    # first index, "support" miscounts the pairs, "dense" is the 2p-column
+    # layout this file had before, and "not_utf8" holds a byte that is not UTF-8
+    @pytest.mark.parametrize("damage", [
+        "truncate", "non_numeric", "300", "-1", "2", "support", "dense", "not_utf8"])
+    def test_malformed_trace_row_structured_error(self, tmp_path, capsys, damage):
+        run_dir = tmp_path / "run"
+        assert run_cli(SMALL_SAMPLE + ["--seed", 0, "--out", run_dir]) == 0
+        trace = run_dir / "trace_s0.csv"
+        lines = trace.read_text().splitlines()
+        cells = lines[7].split(",")
+        assert int(cells[2]) >= 2
+        if damage == "truncate":
+            cells = cells[:-3]
+        elif damage == "non_numeric":
+            cells[5] = "abc"
+        elif damage == "300":
+            cells[-2] = damage
+        elif damage == "-1":
+            cells[4] = damage
+        elif damage == "2":
+            cells[6] = cells[4]
+        elif damage == "support":
+            cells[2] = str(int(cells[2]) + 1)
+        lines[7] = ",".join(cells)
+        if damage == "dense":
+            head = [f"{v}_{j}" for v in ("delta", "theta") for j in range(20)]
+            lines = [",".join(["iter", "k", "support_size", "rayleigh"] + head),
+                     ",".join(["0", "1", "1", "0.5", "1"] + ["0"] * 19 + ["0.3"] + ["0.0"] * 19)]
+        trace.write_text("\n".join(lines) + "\n")
+        if damage == "not_utf8":
+            trace.write_bytes(trace.read_bytes().replace(b"\n", b"\xff\n", 4))
+        message = self.report_fails_on(tmp_path, capsys, trace)
+        if damage == "dense":
+            assert "not a sparse trace CSV" in message
+
+    # the iteration column must start at 0 and increase strictly: shifted by
+    # -1000 the retention window holds no row, and a repeated or decreasing
+    # number would silently change which rows are retained
+    @pytest.mark.parametrize("damage", ["shifted", "repeated", "decreasing"])
+    def test_iteration_column_checked(self, tmp_path, capsys, damage):
+        run_dir = tmp_path / "run"
+        assert run_cli(SMALL_SAMPLE + ["--N", 400, "--seed", 0, "--out", run_dir]) == 0
+        trace = run_dir / "trace_s0.csv"
+        lines = trace.read_text().splitlines()
+        rows = [r.split(",") for r in lines[3:]]
+        if damage == "shifted":
+            for r in rows:
+                r[0] = str(int(r[0]) - 1000)
+            assert (rows[0][0], rows[-1][0]) == ("-1000", "-600")
+        elif damage == "repeated":
+            rows[10][0] = rows[9][0]
+        else:
+            rows[10][0], rows[11][0] = rows[11][0], rows[10][0]
+        trace.write_text("\n".join(lines[:3] + [",".join(r) for r in rows]) + "\n")
+        self.report_fails_on(tmp_path, capsys, trace)
+
+    def test_report_checks_recorded_view_split(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert run_cli(SMALL_SAMPLE + ["--seed", 0, "--out", run_dir]) == 0
+        message = self.report_fails_on(
+            tmp_path, capsys, run_dir / "trace_s0.csv", ("--p_x", 5, "--p_y", 15))
+        assert "p_x = 10, p_y = 10" in message
 
 
 class TestSamplePipeline:
@@ -184,14 +247,19 @@ class TestSamplePipeline:
             assert 0.0 <= r["mse_x"] <= 2.0
         assert "mse_x" in rep["aggregate"]
         lines = (out / "trace_s0.csv").read_text().splitlines()
-        assert len(lines) == 82  # header + states 0..80
-        assert lines[0].split(",")[:4] == ["iter", "k", "support_size", "rayleigh"]
+        assert len(lines) == 84  # view split, header, states 0..80
+        assert lines[:3] == ["p_x,p_y", "10,10", "iter,k,support_size,rayleigh,index,theta"]
+        for row in lines[3:]:
+            cells = row.split(",")
+            assert len(cells) == 4 + 2 * int(cells[2])
+            idx = [int(j) for j in cells[4::2]]
+            assert idx == sorted(set(idx)) and all(0 <= j < 20 for j in idx)
 
     def test_thinning_keeps_endpoints(self, tmp_path):
         out = tmp_path / "thin"
         rc = run_cli(SMALL_SAMPLE + ["--seed", 0, "--thin", 7, "--out", out])
         assert rc == 0
-        rows = (out / "trace_s0.csv").read_text().splitlines()[1:]
+        rows = (out / "trace_s0.csv").read_text().splitlines()[3:]
         iters = [int(r.split(",")[0]) for r in rows]
         assert iters[0] == 0 and iters[-1] == 80
         assert all(t % 7 == 0 or t == 80 for t in iters)
@@ -210,6 +278,65 @@ class TestSamplePipeline:
         assert run_cli(SMALL_SAMPLE + ["--seeds", "[0,1]", "--jobs", 2, "--out", b]) == 0
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
         assert (a / "trace_s1.csv").read_bytes() == (b / "trace_s1.csv").read_bytes()
+
+
+@st.composite
+def small_traces(draw):
+    """(trace, p_x, thin): a random ChainTrace with empty, single-coordinate
+    and wider supports, negative and signed-zero loadings, and k anywhere on
+    a ladder of up to four rungs."""
+    p = draw(st.integers(2, 12))
+    n_iters = draw(st.integers(1, 40))
+    rungs = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = n_iters + 1
+    delta = (rng.random((rows, p)) < draw(st.floats(0.4, 0.95))).astype(np.uint8)
+    single = rng.random(rows) < 0.15
+    delta[single] = 0
+    delta[single, rng.integers(0, p, single.sum())] = 1
+    theta = rng.standard_normal((rows, p)) * 10.0 ** rng.integers(-100, 100, (rows, p))
+    zeros = rng.random((rows, p)) < 0.1
+    theta[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    trace = ChainTrace(
+        delta=delta, theta=theta, k=np.where(rng.random(rows) < 0.5, 1, rng.integers(1, rungs + 1, rows)),
+        rayleigh=rng.standard_normal(rows), n_iters=n_iters,
+    )
+    return trace, draw(st.integers(1, p - 1)), draw(st.integers(1, 9))
+
+
+def report_json(trace, p_x) -> str:
+    try:
+        return json.dumps(_jsonable(_report_dict(build_report(trace, p_x))), sort_keys=True)
+    except StccaError as exc:
+        return type(exc).__name__ + str(exc)
+
+
+@given(small_traces())
+def test_sparse_trace_round_trip(case):
+    trace, p_x, thin = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        _write_trace_csv(path, trace, thin, p_x)
+        back, back_p_x = _read_trace_csv(path)
+    rows = sorted(set(range(0, trace.n_iters + 1, thin)) | {trace.n_iters})
+    kept = ChainTrace(
+        delta=trace.delta[rows], theta=trace.theta[rows], k=trace.k[rows],
+        rayleigh=trace.rayleigh[rows], n_iters=trace.n_iters, iters=np.array(rows),
+    )
+    assert (back_p_x, back.p, back.n_iters) == (p_x, trace.p, trace.n_iters)
+    assert back.iters.tolist() == rows
+    assert back.k.tolist() == kept.k.tolist()
+    assert back.rayleigh.tobytes() == kept.rayleigh.tobytes()
+    assert back.delta.tobytes() == kept.delta.tobytes()
+    # selected loadings come back bit for bit, -0.0 included; unselected ones
+    # are not stored and read back as +0.0, so theta * delta is unchanged
+    on = kept.delta == 1
+    assert back.theta[on].tobytes() == kept.theta[on].tobytes()
+    assert not np.signbit(back.theta[~on]).any() and not back.theta[~on].any()
+    assert (back.theta * back.delta == kept.theta * kept.delta).all()
+    assert report_json(back, p_x) == report_json(kept, p_x)
+    if thin == 1:
+        assert report_json(back, p_x) == report_json(trace, p_x)
 
 
 class TestSameMethodAsLibrary:
@@ -280,7 +407,8 @@ class TestStageRoundTrips:
         orig = json.loads((run_dir / "report.json").read_text())["replications"][0]
         for key in ["seed", "mse_x", "mse_y", "tpr_x", "tpr_y", "tnr_x", "tnr_y"]:
             orig.pop(key)
-        assert solo == orig
+        # compared as JSON text, so a signed zero counts
+        assert json.dumps(solo, sort_keys=True) == json.dumps(orig, sort_keys=True)
 
     # at thin 13 the rows hold iterations 0, 13, ..., 78, 80, and iteration
     # 65 is retained although its row comes before the last quarter of rows
@@ -294,7 +422,7 @@ class TestStageRoundTrips:
                       "--trace", trace, "--out", rep_dir])
         assert rc == 0
         # N = 80: burn-in ends at iteration 60, whatever row it lands on
-        rows = [r.split(",") for r in trace.read_text().splitlines()[1:]]
+        rows = [r.split(",") for r in trace.read_text().splitlines()[3:]]
         kept = sum(1 for r in rows if 4 * int(r[0]) >= 240 and r[1] == "1")
         solo = json.loads((rep_dir / "report.json").read_text())["report"]
         assert solo["n_samples"] == kept
