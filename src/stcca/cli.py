@@ -173,10 +173,6 @@ class ExperimentConfig:
         q = PriorConfig.defaults(p).q if self.q is None else self.q
         return PriorConfig(rho0=self.rho0, rho1=self.rho1, q=q, sigma=self.sigma)
 
-    def couple_limits(self, p: int) -> tuple[int, int]:
-        """(lag, n_max) of the coupled runs at dimension p (coupling_limits)."""
-        return coupling_limits(p, self.lag, self.n_max)
-
 
 # every config key with its caster
 _SCHEMA = {f.name: f.metadata["cast"] for f in fields(ExperimentConfig)}
@@ -263,7 +259,7 @@ def validate_config(raw: dict, command: str) -> ExperimentConfig:
                 raise ConfigError(
                     f"p_grid entries must be multiples of 10, got {entry}"
                 )
-            lag, n_max = cfg.couple_limits(entry)
+            lag, n_max = coupling_limits(entry, cfg.lag, cfg.n_max)
             if n_max <= lag:
                 raise ConfigError("n_max must exceed lag")
     return cfg
@@ -292,12 +288,12 @@ def _dump_json(path: Path, obj) -> None:
     path.write_text(text + "\n", encoding="utf-8")
 
 
-def _load_json(path: Path) -> dict:
+def _load_json(path: Path):
     try:
         return json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
         raise ConfigError(f"{path} is not valid JSON: {exc}")
 
 
@@ -321,12 +317,17 @@ def _write_matrix_csv(path: Path, M: np.ndarray) -> None:
 def _read_matrix_csv(path: Path) -> np.ndarray:
     if not path.is_file():
         raise ConfigError(f"missing data file {path}")
-    with path.open(encoding="utf-8", newline="") as fh:
-        raw = [row for row in csv.reader(fh) if row]
+    try:
+        with path.open(encoding="utf-8", newline="") as fh:
+            raw = [row for row in csv.reader(fh) if row]
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}")
     if raw and any(not _is_number(x) for x in raw[0]):
         raw = raw[1:]
     if not raw:
         raise ConfigError(f"{path} is empty")
+    if len({len(row) for row in raw}) > 1:
+        raise ConfigError(f"{path} has rows of unequal length")
     try:
         rows = [[float(x) for x in row] for row in raw]
     except ValueError as exc:
@@ -419,7 +420,7 @@ def _report_dict(rep: EstimateReport, seed=None) -> dict:
 
 
 def aggregate_replications(reports) -> dict:
-    """Mean-and-spread summary over replication reports.
+    """Mean-and-spread summary over replication report dicts (_report_dict).
 
     Each metric present in every report is reduced to its mean and sample
     standard deviation (divisor n-1; zero for a single report), plus the
@@ -428,10 +429,9 @@ def aggregate_replications(reports) -> dict:
     reports = list(reports)
     if not reports:
         raise EmptyInputError("no reports to aggregate")
-    dicts = [r if isinstance(r, dict) else _report_dict(r) for r in reports]
     out = {}
     for metric in _METRICS:
-        values = [d.get(metric) for d in dicts]
+        values = [d.get(metric) for d in reports]
         if any(v is None for v in values):
             continue
         arr = np.asarray(values, dtype=float)
@@ -470,12 +470,15 @@ def _load_data_dir(cfg: ExperimentConfig):
 def _load_truth(path):
     """The reference directions (v_x_star, v_y_star) of a truth JSON."""
     truth = _load_json(Path(path))
-    if "v_x_star" not in truth or "v_y_star" not in truth:
-        raise ConfigError(f"{path} lacks v_x_star / v_y_star")
-    return (
-        np.asarray(truth["v_x_star"], dtype=float),
-        np.asarray(truth["v_y_star"], dtype=float),
-    )
+    if not (isinstance(truth, dict) and {"v_x_star", "v_y_star"} <= truth.keys()):
+        raise ConfigError(f"{path} is not an object with v_x_star and v_y_star")
+    try:
+        return (
+            np.asarray(truth["v_x_star"], dtype=float),
+            np.asarray(truth["v_y_star"], dtype=float),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path} has a non-numeric v_x_star / v_y_star: {exc}")
 
 
 def _make_data(cfg: ExperimentConfig, data_ss):
@@ -667,7 +670,7 @@ def cmd_couple(cfg: ExperimentConfig, args, out_dir: Path) -> None:
         px = model.p_x
         S = model.Sigma
         gep = assemble_gep(S[:px, :px], S[px:, px:], S[:px, px:], n=cfg.n)
-        lag, n_max = cfg.couple_limits(p)
+        lag, n_max = coupling_limits(p, cfg.lag, cfg.n_max)
         prior = cfg.prior(p)
         tasks = [
             (gep, prior, cfg.temperatures, n_max, cfg.J, lag, child)

@@ -74,13 +74,14 @@ def coupled_gibbs_step(
     ladder: TemperingLadder,
     subset: np.ndarray,
     uniforms: np.ndarray,
-    cache1: QuadraticCache | None = None,
-    cache2: QuadraticCache | None = None,
+    cache1: QuadraticCache,
+    cache2: QuadraticCache,
 ) -> None:
     """Support sweep over a common subset with one shared uniform per
-    coordinate; each chain thresholds against its own success probability."""
-    gibbs_update_delta(pair.chain1, gep, prior, ladder, subset, uniforms, cache=cache1)
-    gibbs_update_delta(pair.chain2, gep, prior, ladder, subset, uniforms, cache=cache2)
+    coordinate; each chain thresholds against its own success probability,
+    through its own cache."""
+    gibbs_update_delta(pair.chain1, gep, prior, ladder, subset, uniforms, cache1)
+    gibbs_update_delta(pair.chain2, gep, prior, ladder, subset, uniforms, cache2)
 
 
 def coupled_theta_step(
@@ -205,10 +206,9 @@ def coupled_step(
     uniforms = rng.random(subset.size)
     normals = rng.standard_normal(gep.p)
 
-    cache1 = QuadraticCache(gep, pair.chain1)
-    cache2 = QuadraticCache(gep, pair.chain2)
     coupled_gibbs_step(
-        pair, gep, prior, ladder, subset, uniforms, cache1=cache1, cache2=cache2
+        pair, gep, prior, ladder, subset, uniforms,
+        QuadraticCache(gep, pair.chain1), QuadraticCache(gep, pair.chain2),
     )
 
     u_couple = float(rng.random()) if mirrors(pair) else None
@@ -220,8 +220,8 @@ def coupled_step(
         pair, gep, prior, ladder, normals, u_couple, accept_u
     )
 
-    lp1 = log_quasi_posterior(pair.chain1, gep, prior, r_sel=r1)
-    lp2 = log_quasi_posterior(pair.chain2, gep, prior, r_sel=r2)
+    lp1 = log_quasi_posterior(pair.chain1, gep, prior, r1)
+    lp2 = log_quasi_posterior(pair.chain2, gep, prior, r2)
     coupled_temperature_step(pair, gep, prior, ladder, w, u, lp1, lp2)
 
     if adapt is not None:

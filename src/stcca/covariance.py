@@ -87,11 +87,6 @@ class GepPair:
         if self.A.shape != (self.p, self.p) or self.B.shape != (self.p, self.p):
             raise DimensionMismatchError("A and B must be p x p with p = p_x + p_y")
 
-    def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read back (Sx, Sy, Sxy) from the assembled pair."""
-        px = self.p_x
-        return self.B[:px, :px], self.B[px:, px:], self.A[:px, px:]
-
 
 def sample_covariance(data: np.ndarray) -> np.ndarray:
     """Column-centered second-moment matrix with divisor n.

@@ -156,18 +156,16 @@ def quasi_scale(gep: GepPair, prior: PriorConfig) -> float:
 
 
 def log_quasi_posterior(
-    state: ChainState, gep: GepPair, prior: PriorConfig, r_sel: float | None = None
+    state: ChainState, gep: GepPair, prior: PriorConfig, r_sel: float
 ) -> float:
     """Unnormalized log density at temperature 1:
     a |delta|_0 - (rho1/2)|theta_sel|^2 - (rho0/2)|theta - theta_sel|^2
     + (2n/sigma^2) R(theta_sel).
 
-    r_sel is the selected quotient R(theta_sel) when the caller already holds
-    it; otherwise it is evaluated here at O(p^2) cost.
+    r_sel is the selected quotient R(theta_sel), which the sampler holds from
+    its loading move; rayleigh_selected evaluates it at O(p^2) cost.
     """
     scale = quasi_scale(gep, prior)
-    if r_sel is None:
-        r_sel = rayleigh_selected(state, gep)
     mask = state.delta.astype(bool)
     theta_sel = state.theta[mask]
     theta_unsel = state.theta[~mask]
@@ -182,7 +180,8 @@ def log_quasi_posterior(
 def log_tempered(
     state: ChainState, gep: GepPair, prior: PriorConfig, ladder: TemperingLadder
 ) -> float:
-    """Extended log density: -log c_k + log_quasi_posterior / t_k.
+    """Extended log density: -log c_k + log_quasi_posterior / t_k, with the
+    quotient evaluated from scratch; the reference the kernels are tested on.
 
     Only the exponent is tempered; the weight c_k is not.
     """
@@ -190,7 +189,8 @@ def log_tempered(
     if not 1 <= k <= ladder.K:
         raise IndexError(f"temperature index {k} outside 1..{ladder.K}")
     t_k = float(ladder.temperatures[k - 1])
-    return float(-ladder.log_weights[k - 1] + log_quasi_posterior(state, gep, prior) / t_k)
+    log_post = log_quasi_posterior(state, gep, prior, rayleigh_selected(state, gep))
+    return float(-ladder.log_weights[k - 1] + log_post / t_k)
 
 
 def selected_target(
@@ -217,31 +217,6 @@ def selected_target(
     log_w = (-0.5 * prior.rho1 * float(u @ u) + scale * r) / t_k
     grad_r = 2.0 * (Au - r * Bu) / qb
     return log_w, r, (-prior.rho1 * u + scale * grad_r) / t_k
-
-
-def grad_selected(
-    u: np.ndarray,
-    k: int,
-    delta: np.ndarray,
-    gep: GepPair,
-    prior: PriorConfig,
-    ladder: TemperingLadder,
-) -> np.ndarray:
-    """Gradient of the selected-block log target at temperature k, as the
-    MALA step computes it (see selected_target)."""
-    scale = quasi_scale(gep, prior)
-    if not 1 <= k <= ladder.K:
-        raise IndexError(f"temperature index {k} outside 1..{ladder.K}")
-    sel = np.flatnonzero(np.asarray(delta))
-    u = np.asarray(u, dtype=float)
-    if u.shape != (sel.size,):
-        raise DimensionMismatchError(
-            f"u has length {u.size}, selected block has {sel.size}"
-        )
-    A_ss = gep.A[np.ix_(sel, sel)]
-    B_ss = gep.B[np.ix_(sel, sel)]
-    t_k = float(ladder.temperatures[k - 1])
-    return selected_target(u, A_ss, B_ss, prior, scale, t_k)[2]
 
 
 class QuadraticCache:

@@ -41,8 +41,8 @@ def extract_posterior_samples(trace) -> np.ndarray:
 
     With n_iters the last recorded iteration, a row recording iteration t is
     a draw when 3*n_iters/4 <= t <= n_iters and the chain sat at the coldest
-    rung there. Row t records iteration t unless the trace carries an
-    `iters` array, as a thinned trace read back from CSV does.
+    rung there. Row t records iteration t unless the trace's `iters` holds
+    the row iterations, as a thinned trace read back from CSV does.
 
     Raises EmptySampleError when no row qualifies, which means the chain
     never reached the coldest temperature after burn-in.
@@ -51,8 +51,7 @@ def extract_posterior_samples(trace) -> np.ndarray:
     n_rows = k.shape[0]
     if n_rows == 0:
         raise EmptyInputError("trace has no recorded states")
-    iters = getattr(trace, "iters", None)
-    t = np.arange(n_rows) if iters is None else np.asarray(iters)
+    t = np.arange(n_rows) if trace.iters is None else np.asarray(trace.iters)
     n_iters = int(t[-1])
     # integer form of t >= 3*n_iters/4, exact for any n_iters
     keep = (t <= n_iters) & (4 * t >= 3 * n_iters) & (k == 1)
@@ -68,14 +67,13 @@ def extract_posterior_samples(trace) -> np.ndarray:
 class SampleEstimates:
     """Per-draw unit loading estimates plus bookkeeping for skipped draws.
 
-    v_x has one row per usable draw (likewise v_y); indices maps each row
-    back to its trace row. Draws whose masked loading vector vanished on
-    either view carry no direction and are counted in n_skipped instead.
+    v_x has one row per usable draw (likewise v_y). Draws whose masked
+    loading vector vanished on either view carry no direction and are
+    counted in n_skipped instead.
     """
 
     v_x: np.ndarray
     v_y: np.ndarray
-    indices: np.ndarray
     n_skipped: int
 
 
@@ -97,7 +95,6 @@ def per_sample_estimates(trace, samples, p_x: int) -> SampleEstimates:
         raise DomainError(f"p_x must split the {p} coordinates, got {p_x}")
     vx_rows: list[np.ndarray] = []
     vy_rows: list[np.ndarray] = []
-    kept: list[int] = []
     n_skipped = 0
     for t in samples:
         v = theta[t] * delta[t]
@@ -108,13 +105,11 @@ def per_sample_estimates(trace, samples, p_x: int) -> SampleEstimates:
             continue
         vx_rows.append(v[:p_x] / nx)
         vy_rows.append(v[p_x:] / ny)
-        kept.append(int(t))
-    if not kept:
+    if not vx_rows:
         raise EmptySampleError("every retained draw had a zero block on some view")
     return SampleEstimates(
         v_x=np.array(vx_rows),
         v_y=np.array(vy_rows),
-        indices=np.array(kept, dtype=np.int64),
         n_skipped=n_skipped,
     )
 

@@ -69,25 +69,6 @@ def _flip_log_odds(
     return (base + quot_coef * (r_on - r_off)) / t_k
 
 
-def gibbs_success_prob(
-    j: int,
-    state: ChainState,
-    gep: GepPair,
-    prior: PriorConfig,
-    ladder: TemperingLadder,
-    cache: QuadraticCache | None = None,
-) -> float:
-    """Conditional probability that coordinate j is selected."""
-    quot_coef = quasi_scale(gep, prior)
-    if cache is None:
-        cache = QuadraticCache(gep, state)
-    t_k = float(ladder.temperatures[state.k - 1])
-    ell = _flip_log_odds(
-        cache, j, float(state.theta[j]), bool(state.delta[j]), prior, quot_coef, t_k
-    )
-    return _sigmoid(ell)
-
-
 def gibbs_update_delta(
     state: ChainState,
     gep: GepPair,
@@ -95,14 +76,14 @@ def gibbs_update_delta(
     ladder: TemperingLadder,
     subset: np.ndarray,
     uniforms: np.ndarray,
-    cache: QuadraticCache | None = None,
+    cache: QuadraticCache,
 ) -> None:
-    """One sweep of single-coordinate flips over `subset`, in place: j =
-    subset[i] is on afterwards exactly when uniforms[i] < q_j, its success
-    probability, for uniforms in [0, 1) (coupled chains share the array)."""
+    """One sweep of single-coordinate flips over `subset`, in place, with
+    `cache` built at the state: j = subset[i] is on afterwards exactly when
+    uniforms[i] < q_j, its success probability, for uniforms in [0, 1]. A
+    forced coordinate, whose off branch has no quotient (the last active
+    one), stays on even at 1.0. Coupled chains share the uniforms."""
     quot_coef = quasi_scale(gep, prior)
-    if cache is None:
-        cache = QuadraticCache(gep, state)
     t_k = float(ladder.temperatures[state.k - 1])
     delta = state.delta
     theta = state.theta
@@ -111,7 +92,7 @@ def gibbs_update_delta(
         theta_j = float(theta[j])
         selected = delta[j] == 1
         ell = _flip_log_odds(cache, j, theta_j, selected, prior, quot_coef, t_k)
-        now = float(uniforms[i]) < _sigmoid(ell)
+        now = ell == math.inf or float(uniforms[i]) < _sigmoid(ell)
         if now != selected:
             delta[j] = 1 if now else 0
             cache.commit_flip(j, theta_j, now)
@@ -291,14 +272,13 @@ def advance_chain(
     accept_u = float(rng.random())
     w, u = rng.random(2).tolist() if ladder.K > 1 else (None, None)
 
-    cache = QuadraticCache(gep, state)
-    gibbs_update_delta(state, gep, prior, ladder, subset, uniforms, cache=cache)
+    gibbs_update_delta(state, gep, prior, ladder, subset, uniforms, QuadraticCache(gep, state))
 
     k_mala = state.k
     _, alpha, r_sel = mala_update_theta(state, gep, prior, ladder, normals, accept_u)
 
     # the quotient from the loading move spares an O(p^2) re-evaluation
-    log_post = log_quasi_posterior(state, gep, prior, r_sel=r_sel)
+    log_post = log_quasi_posterior(state, gep, prior, r_sel)
     temperature_update(state, gep, prior, ladder, w, u, log_post)
 
     if adapt is not None:

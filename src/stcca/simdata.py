@@ -50,10 +50,6 @@ class PopulationModel:
     def p_y(self) -> int:
         return self.v_y_star.size
 
-    def theta_star(self) -> np.ndarray:
-        """Concatenated true pair (v_x*, v_y*)."""
-        return np.concatenate([self.v_x_star, self.v_y_star])
-
 
 def _banded_block(size: int) -> np.ndarray:
     idx = np.arange(size)
@@ -104,30 +100,22 @@ def sample_gaussian_pairs(model: PopulationModel, n: int, seed) -> Dataset:
 
 @dataclass
 class TruncationSpec:
-    """Observation scheme for the truncated copula generator.
-
-    C holds per-coordinate truncation thresholds for the second view (a scalar
-    broadcasts). h_inv, when given, is the map from the latent Gaussian scale
-    to the observed scale, applied entrywise to both views; the latent-model
-    transform is its inverse, strictly increasing per coordinate. Identity by
-    default, matching the estimator's invariance to the transform.
-    """
+    """Observation scheme for the truncated copula generator: C holds
+    per-coordinate truncation thresholds for the second view (a scalar
+    broadcasts). Both views are observed on the latent scale; the rank-based
+    estimator is invariant to any monotone transform of it."""
 
     C: np.ndarray
-    h_inv: object | None = None
 
     def __post_init__(self) -> None:
         self.C = np.asarray(self.C, dtype=float)
 
 
 def truncate_copula(latent: Dataset, spec: TruncationSpec) -> Dataset:
-    """Observe the latent pairs: transform both views, zero the second view
-    at or below its threshold.
+    """Observe the latent pairs: zero the second view at or below its
+    threshold.
 
     Idempotent: zeros stay zeros and surviving entries already exceed C.
     """
     C = np.broadcast_to(spec.C, (latent.p_y,))
-    X_obs = latent.X if spec.h_inv is None else spec.h_inv(latent.X)
-    U = latent.Y if spec.h_inv is None else spec.h_inv(latent.Y)
-    Y_obs = np.where(U > C, U, 0.0)
-    return Dataset(X=np.array(X_obs, dtype=float), Y=Y_obs)
+    return Dataset(X=latent.X.copy(), Y=np.where(latent.Y > C, latent.Y, 0.0))

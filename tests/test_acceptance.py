@@ -37,15 +37,15 @@ from stcca.model import (
     ChainState,
     DEFAULT_TEMPERATURES,
     PriorConfig,
+    QuadraticCache,
     TemperingLadder,
-    grad_selected,
     log_quasi_posterior,
     log_tempered,
+    rayleigh_selected,
 )
 from stcca.postprocess import build_report
 from stcca.sampler import (
     advance_chain,
-    gibbs_success_prob,
     gibbs_update_delta,
     initial_state,
     mala_update_theta,
@@ -59,7 +59,7 @@ from stcca.simdata import (
     truncate_copula,
 )
 
-from helpers import population_gep
+from helpers import flip_prob, population_gep, selected_grad
 
 
 def _report(capsys, label, ok, detail):
@@ -75,7 +75,7 @@ def test_acceptance_1_population_eigenpair(capsys):
     evals, evecs = eigh(gep.A, gep.B)
     top = float(evals[-1])
     w = evecs[:, -1]
-    ref = model.theta_star()
+    ref = np.concatenate([model.v_x_star, model.v_y_star])
     cos = abs(float(w @ ref)) / (np.linalg.norm(w) * np.linalg.norm(ref))
     elapsed = time.perf_counter() - t0
     ok = abs(top - 0.9) <= 1e-8 and cos >= 1.0 - 1e-8 and elapsed < 1.0
@@ -100,7 +100,7 @@ def test_acceptance_2_gradient_matches_differences(capsys):
         sel = np.flatnonzero(delta)
         u = rng.standard_normal(sel.size)
         k = int(rng.integers(1, ladder.K + 1))
-        analytic = grad_selected(u, k, delta, gep, prior, ladder)
+        analytic = selected_grad(u, k, delta, gep, prior, ladder)
 
         def full_log(v):
             theta = np.zeros(10)
@@ -124,12 +124,13 @@ def test_acceptance_3_kernel_dynamics(capsys):
     prior = PriorConfig.defaults(10)
     ladder = TemperingLadder.for_dimension(10)
 
-    # Support flip frequency against the closed-form inclusion probability.
+    # Support flip frequency against the inclusion probability of the
+    # log_tempered reference.
     pre = ChainState(delta=np.zeros(10, dtype=np.uint8), theta=np.zeros(10), k=1)
     pre.delta[0] = 1
     pre.theta[0] = 0.6
     pre.theta[1] = 0.8
-    q0 = gibbs_success_prob(1, pre, gep, prior, ladder)
+    q0 = flip_prob(1, pre, gep, prior, ladder)
     assert 0.05 < q0 < 0.95
     rng = np.random.default_rng(314)
     subset = np.array([1])
@@ -137,7 +138,7 @@ def test_acceptance_3_kernel_dynamics(capsys):
     hits = 0
     for _ in range(trials):
         s = ChainState(delta=pre.delta.copy(), theta=pre.theta.copy(), k=pre.k)
-        gibbs_update_delta(s, gep, prior, ladder, subset, rng.random(1))
+        gibbs_update_delta(s, gep, prior, ladder, subset, rng.random(1), QuadraticCache(gep, s))
         hits += int(s.delta[1])
     gibbs_err = abs(hits / trials - q0)
     gibbs_tol = 3.0 * math.sqrt(q0 * (1.0 - q0) / trials)
@@ -162,7 +163,7 @@ def test_acceptance_3_kernel_dynamics(capsys):
     logf = np.empty(grid.size)
     for i, u in enumerate(grid):
         probe.theta[0] = u
-        logf[i] = log_quasi_posterior(probe, gep2, prior2)
+        logf[i] = log_quasi_posterior(probe, gep2, prior2, rayleigh_selected(probe, gep2))
     dens = np.exp(logf - logf.max())
     cdf = cumulative_trapezoid(dens, grid, initial=0.0)
     cdf /= cdf[-1]
@@ -243,17 +244,24 @@ def test_acceptance_4_coupled_kernel_fidelity(capsys):
     gc1, gs1, gc2, gs2 = {}, {}, {}, {}
     for _ in range(trials):
         pair = CoupledState(chain1=fresh(base1), chain2=fresh(base2), lag=1)
-        coupled_gibbs_step(pair, gep, prior, ladder, subset, rng_c.random(3))
+        coupled_gibbs_step(
+            pair, gep, prior, ladder, subset, rng_c.random(3),
+            QuadraticCache(gep, pair.chain1), QuadraticCache(gep, pair.chain2),
+        )
         key = tuple(int(v) for v in pair.chain1.delta[subset])
         gc1[key] = gc1.get(key, 0) + 1
         key = tuple(int(v) for v in pair.chain2.delta[subset])
         gc2[key] = gc2.get(key, 0) + 1
         solo = fresh(base1)
-        gibbs_update_delta(solo, gep, prior, ladder, subset, rng_1.random(3))
+        gibbs_update_delta(
+            solo, gep, prior, ladder, subset, rng_1.random(3), QuadraticCache(gep, solo)
+        )
         key = tuple(int(v) for v in solo.delta[subset])
         gs1[key] = gs1.get(key, 0) + 1
         solo = fresh(base2)
-        gibbs_update_delta(solo, gep, prior, ladder, subset, rng_2.random(3))
+        gibbs_update_delta(
+            solo, gep, prior, ladder, subset, rng_2.random(3), QuadraticCache(gep, solo)
+        )
         key = tuple(int(v) for v in solo.delta[subset])
         gs2[key] = gs2.get(key, 0) + 1
     assert len(gc1) >= 2 and len(gc2) >= 2
@@ -285,8 +293,8 @@ def test_acceptance_4_coupled_kernel_fidelity(capsys):
         ms[i, 2], ms[i, 3] = solo.theta[sel2], solo.theta[uns2]
     p_mala = min(ks_2samp(mc[:, j], ms[:, j]).pvalue for j in range(4))
 
-    lp1 = log_quasi_posterior(base1, gep, prior)
-    lp2 = log_quasi_posterior(base2, gep, prior)
+    lp1 = log_quasi_posterior(base1, gep, prior, rayleigh_selected(base1, gep))
+    lp2 = log_quasi_posterior(base2, gep, prior, rayleigh_selected(base2, gep))
     rng_c = np.random.default_rng(102)
     rng_1 = np.random.default_rng(202)
     rng_2 = np.random.default_rng(302)
@@ -378,7 +386,7 @@ def _competing_report(seed, temperatures, n_iters, model, v2):
     for it in range(1, n_iters + 1):
         advance_chain(state, gep, prior, ladder, 100, rng, adapt=hook)
         delta_tr[it], theta_tr[it], k_tr[it] = state.delta, state.theta, state.k
-    trace = SimpleNamespace(delta=delta_tr, theta=theta_tr, k=k_tr)
+    trace = SimpleNamespace(delta=delta_tr, theta=theta_tr, k=k_tr, iters=None)
     return build_report(
         trace, model.p_x, truth_x=model.v_x_star, truth_y=model.v_y_star
     )
@@ -422,7 +430,8 @@ def test_acceptance_5_tempering_recovers_support(capsys):
         model.Sigma[:50, :50], model.Sigma[50:, 50:], model.Sigma[:50, 50:]
     )
     evals, evecs = eigh(pop.A, pop.B)
-    top = model.theta_star() / math.sqrt(2.0)  # B-unit, as eigh returns
+    # B-unit, as eigh returns
+    top = np.concatenate([model.v_x_star, model.v_y_star]) / math.sqrt(2.0)
     assert np.allclose(evals[-2:], [0.8, 0.9], atol=1e-8)
     assert abs(abs(float(evecs[:, -1] @ pop.B @ top)) - 1.0) < 1e-8
     # Both arms start in the competing pair. Fisher's exact test, one-sided

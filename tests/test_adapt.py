@@ -13,7 +13,13 @@ from stcca.adapt import (
 )
 from stcca.covariance import estimate_gep
 from stcca.errors import DomainError
-from stcca.model import ChainState, PriorConfig, TemperingLadder, log_quasi_posterior
+from stcca.model import (
+    ChainState,
+    PriorConfig,
+    TemperingLadder,
+    log_quasi_posterior,
+    rayleigh_selected,
+)
 from stcca.sampler import advance_chain, draw_subset, initial_state, temperature_update
 from stcca.simdata import build_population_cov, sample_gaussian_pairs
 
@@ -209,7 +215,8 @@ class TestRunAdaptiveChain:
         r2 = np.random.default_rng(21)
         ks1 = []
         ks2 = []
-        lp = log_quasi_posterior(state1, gep, prior)  # k does not enter it
+        # k does not enter it
+        lp = log_quasi_posterior(state1, gep, prior, rayleigh_selected(state1, gep))
         for _ in range(300):
             temperature_update(state1, gep, prior, lad1, *r1.random(2), lp)
             temperature_update(state2, gep, prior, lad2, *r2.random(2), lp)

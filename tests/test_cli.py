@@ -154,15 +154,48 @@ class TestErrorSurface:
         record = json.loads(capsys.readouterr().err)
         assert "error" in record and "message" in record
 
-    def report_fails_on(self, tmp_path, capsys, trace, args=("--p_x", 10, "--p_y", 10)):
+    def fails_on(self, capsys, argv, path, out):
+        # exit 2 with a ConfigError record that names the bad file, and no
+        # output directory
         capsys.readouterr()
-        rc = run_cli(["report", *args, "--trace", trace, "--out", tmp_path / "rep"])
-        assert rc == 2
+        assert run_cli([*argv, "--out", out]) == 2
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ConfigError"
-        assert str(trace) in record["message"]
-        assert not (tmp_path / "rep").exists()
+        assert str(path) in record["message"]
+        assert not out.exists()
         return record["message"]
+
+    def report_fails_on(self, tmp_path, capsys, trace, args=("--p_x", 10, "--p_y", 10)):
+        return self.fails_on(capsys, ["report", *args, "--trace", trace], trace, tmp_path / "rep")
+
+    # files of a data directory: "x_not_utf8" and "truth_not_utf8" hold a
+    # byte that is not UTF-8, "ragged" drops the last cell of an X.csv row,
+    # "not_object" is a truth.json holding a number, and "non_numeric" one
+    # whose v_x_star holds strings
+    @pytest.mark.parametrize("damage", [
+        "x_not_utf8", "ragged", "truth_not_utf8", "not_object", "non_numeric"])
+    def test_malformed_data_file_structured_error(self, tmp_path, capsys, damage):
+        data_dir = tmp_path / "data"
+        dims = ["--p_x", 10, "--p_y", 10, "--n", 25]
+        assert run_cli(["simulate", *dims, "--out", data_dir]) == 0
+        X, truth = data_dir / "X.csv", data_dir / "truth.json"
+        if damage == "x_not_utf8":
+            X.write_bytes(X.read_bytes().replace(b"\n", b"\xff\n", 2))
+        elif damage == "ragged":
+            lines = X.read_text().splitlines()
+            lines[3] = lines[3].rsplit(",", 1)[0]
+            X.write_text("\n".join(lines) + "\n")
+        elif damage == "truth_not_utf8":
+            truth.write_bytes(b"\xff" + truth.read_bytes())
+        elif damage == "not_object":
+            truth.write_text("7\n")
+        else:
+            doc = json.loads(truth.read_text())
+            doc["v_x_star"] = ["a"] * 10
+            truth.write_text(json.dumps(doc))
+        bad = X if damage in ("x_not_utf8", "ragged") else truth
+        self.fails_on(capsys, ["estimate-cov", *dims, "--data_dir", data_dir], bad,
+                      tmp_path / "est")
 
     # a state row is iter, k, support_size, rayleigh, then (index, theta)
     # pairs: "300" and "-1" are indices outside [0, 20), "2" repeats the
@@ -370,8 +403,9 @@ class TestSameMethodAsLibrary:
 
     @pytest.mark.parametrize("p", [10, 20, 100])
     def test_couple_limits_are_the_coupling_default(self, p):
+        # a config without lag or n_max leaves both to coupling_limits
         cfg = validate_config({}, "couple")
-        assert cfg.couple_limits(p) == coupling_limits(p, None, None) == (p, 10 * p + 1000)
+        assert coupling_limits(p, cfg.lag, cfg.n_max) == (p, 10 * p + 1000)
 
 
 class TestStageRoundTrips:

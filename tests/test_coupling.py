@@ -29,13 +29,12 @@ from stcca.model import (
     log_quasi_posterior,
 )
 from stcca.sampler import (
-    gibbs_success_prob,
     gibbs_update_delta,
     mala_update_theta,
     temperature_update,
 )
 
-from helpers import population_gep, random_gep
+from helpers import flip_prob, population_gep, random_gep
 
 
 def make_state(rng, p, delta=None, k=1) -> ChainState:
@@ -110,8 +109,13 @@ class TestCoupledGibbs:
             )
             subset = np.arange(6)
             uniforms = np.random.default_rng(seed).random(6)
-            coupled_gibbs_step(pair, gep, prior, ladder, subset, uniforms)
-            gibbs_update_delta(solo, gep, prior, ladder, subset, uniforms)
+            coupled_gibbs_step(
+                pair, gep, prior, ladder, subset, uniforms,
+                QuadraticCache(gep, pair.chain1), QuadraticCache(gep, pair.chain2),
+            )
+            gibbs_update_delta(
+                solo, gep, prior, ladder, subset, uniforms, QuadraticCache(gep, solo)
+            )
             assert np.array_equal(pair.chain1.delta, solo.delta)
 
     def test_identical_chains_make_identical_sweeps(self):
@@ -123,7 +127,10 @@ class TestCoupledGibbs:
             a = make_state(rng, 5, k=2)
             b = ChainState(delta=a.delta.copy(), theta=a.theta.copy(), k=a.k)
             pair = CoupledState(chain1=a, chain2=b, lag=1)
-            coupled_gibbs_step(pair, gep, prior, ladder, np.arange(5), rng.random(5))
+            coupled_gibbs_step(
+                pair, gep, prior, ladder, np.arange(5), rng.random(5),
+                QuadraticCache(gep, a), QuadraticCache(gep, b),
+            )
             assert np.array_equal(a.delta, b.delta)
 
     def test_disagreement_frequency_matches_probability_gap(self):
@@ -136,8 +143,8 @@ class TestCoupledGibbs:
         base1 = make_state(rng, 4, delta=[1, 0, 1, 0], k=1)
         base2 = make_state(rng, 4, delta=[1, 1, 0, 0], k=2)
         j = 3
-        q1 = gibbs_success_prob(j, base1, gep, prior, ladder)
-        q2 = gibbs_success_prob(j, base2, gep, prior, ladder)
+        q1 = flip_prob(j, base1, gep, prior, ladder)
+        q2 = flip_prob(j, base2, gep, prior, ladder)
         gap = abs(q1 - q2)
         reps = 20000
         mism = 0
@@ -149,7 +156,10 @@ class TestCoupledGibbs:
                 delta=base2.delta.copy(), theta=base2.theta.copy(), k=base2.k
             )
             pair = CoupledState(chain1=c1, chain2=c2, lag=1)
-            coupled_gibbs_step(pair, gep, prior, ladder, np.array([j]), rng.random(1))
+            coupled_gibbs_step(
+                pair, gep, prior, ladder, np.array([j]), rng.random(1),
+                QuadraticCache(gep, c1), QuadraticCache(gep, c2),
+            )
             mism += int(c1.delta[j] != c2.delta[j])
         se = math.sqrt(max(gap * (1 - gap), 1e-12) / reps)
         assert abs(mism / reps - gap) < 4 * se + 1e-3
@@ -381,7 +391,7 @@ class TestCoupledStep:
             uniforms = np.empty(len(subset))
             for i, (j, v) in enumerate(zip(subset, raw)):
                 if isinstance(v, tuple):
-                    v = gibbs_success_prob(j, a, gep, prior, ladder)
+                    v = flip_prob(j, a, gep, prior, ladder)
                     for _ in range(abs(raw[i][1])):
                         v = np.nextafter(v, math.copysign(np.inf, raw[i][1]))
                 uniforms[i] = min(max(v, 0.0), np.nextafter(1.0, 0.0))
@@ -393,8 +403,8 @@ class TestCoupledStep:
             alpha1, alpha2, r1, r2 = coupled_theta_step(
                 pair, gep, prior, ladder, np.array(normals), u_couple, accept_u
             )
-            lp1 = log_quasi_posterior(a, gep, prior, r_sel=r1)
-            lp2 = log_quasi_posterior(b, gep, prior, r_sel=r2)
+            lp1 = log_quasi_posterior(a, gep, prior, r1)
+            lp2 = log_quasi_posterior(b, gep, prior, r2)
             coupled_temperature_step(pair, gep, prior, ladder, w, u, lp1, lp2)
             assert alpha1 == alpha2
             assert a.k == b.k

@@ -229,10 +229,10 @@ class TestAssembleGep:
         Sy = np.eye(2)
         Sxy = rng.standard_normal((3, 2))
         gep = assemble_gep(Sx, Sy, Sxy, n=17)
-        bx, by, bxy = gep.blocks()
-        assert np.array_equal(bx, Sx)
-        assert np.array_equal(by, Sy)
-        assert np.array_equal(bxy, Sxy)
+        assert np.array_equal(gep.B[:3, :3], Sx)
+        assert np.array_equal(gep.B[3:, 3:], Sy)
+        assert np.array_equal(gep.A[:3, 3:], Sxy)
+        assert np.array_equal(gep.A[3:, :3], Sxy.T)
         assert gep.n == 17
 
     def test_shape_mismatch_rejected(self):

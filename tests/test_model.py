@@ -7,24 +7,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stcca.covariance import GepPair, assemble_gep
-from stcca.errors import (
-    DimensionMismatchError,
-    DomainError,
-    UndefinedQuotientError,
-)
+from stcca.errors import DomainError, UndefinedQuotientError
 from stcca.model import (
     ChainState,
     PriorConfig,
     QuadraticCache,
     TemperingLadder,
-    grad_selected,
     log_quasi_posterior,
     log_tempered,
     rayleigh,
     rayleigh_selected,
 )
 
-from helpers import random_gep
+from helpers import random_gep, selected_grad
 
 
 def toy_gep(n=None) -> GepPair:
@@ -109,7 +104,8 @@ class TestRayleigh:
         m = model.p_x
         S = model.Sigma
         gep = assemble_gep(S[:m, :m], S[m:, m:], S[:m, m:])
-        assert rayleigh(model.theta_star(), gep) == pytest.approx(0.9, abs=1e-10)
+        truth = np.concatenate([model.v_x_star, model.v_y_star])
+        assert rayleigh(truth, gep) == pytest.approx(0.9, abs=1e-10)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(UndefinedQuotientError):
@@ -151,7 +147,7 @@ class TestLogQuasiPosterior:
         delta = np.array([1, 0, 1, 0, 1, 0])
         th = rng.standard_normal(6)
         state = ChainState(delta=delta, theta=th)
-        got = log_quasi_posterior(state, g, prior)
+        got = log_quasi_posterior(state, g, prior, rayleigh_selected(state, g))
         want = (
             prior.a * 3
             - 1.0 * th @ th
@@ -168,9 +164,10 @@ class TestLogQuasiPosterior:
         g2 = GepPair(A=g1.A, B=g1.B, p_x=3, p_y=3, n=50)
         s = ChainState(delta=delta, theta=th)
         g0 = GepPair(A=g1.A, B=g1.B, p_x=3, p_y=3, n=0)
-        gauss = log_quasi_posterior(s, g0, prior)
-        assert log_quasi_posterior(s, g2, prior) - gauss == pytest.approx(
-            2 * (log_quasi_posterior(s, g1, prior) - gauss), rel=1e-12
+        r = rayleigh_selected(s, g1)  # A and B are shared, only n differs
+        gauss = log_quasi_posterior(s, g0, prior, r)
+        assert log_quasi_posterior(s, g2, prior, r) - gauss == pytest.approx(
+            2 * (log_quasi_posterior(s, g1, prior, r) - gauss), rel=1e-12
         )
 
     def test_term_by_term_oracle(self):
@@ -187,7 +184,8 @@ class TestLogQuasiPosterior:
             - 3.5 * np.sum(th[~sel] ** 2)
             + (2 * 33 / 1.3**2) * rayleigh(th * delta, g)
         )
-        assert log_quasi_posterior(state, g, prior) == pytest.approx(want, abs=1e-10)
+        got = log_quasi_posterior(state, g, prior, rayleigh_selected(state, g))
+        assert got == pytest.approx(want, abs=1e-10)
 
     def test_sign_flip_invariance(self):
         rng = np.random.default_rng(16)
@@ -195,16 +193,17 @@ class TestLogQuasiPosterior:
         prior = PriorConfig.defaults(4)
         delta = np.array([1, 0, 1, 0])
         th = rng.standard_normal(4)
-        a = log_quasi_posterior(ChainState(delta=delta, theta=th), g, prior)
-        b = log_quasi_posterior(ChainState(delta=delta, theta=-th), g, prior)
+        pos = ChainState(delta=delta, theta=th)
+        neg = ChainState(delta=delta, theta=-th)
+        a = log_quasi_posterior(pos, g, prior, rayleigh_selected(pos, g))
+        b = log_quasi_posterior(neg, g, prior, rayleigh_selected(neg, g))
         assert a == pytest.approx(b, rel=1e-14)
 
     def test_missing_n_rejected(self):
         g = toy_gep(n=None)
+        state = ChainState(delta=np.ones(2), theta=np.ones(2))
         with pytest.raises(DomainError):
-            log_quasi_posterior(
-                ChainState(delta=np.ones(2), theta=np.ones(2)), g, PriorConfig.defaults(2)
-            )
+            log_quasi_posterior(state, g, PriorConfig.defaults(2), rayleigh_selected(state, g))
 
 
 class TestLogTempered:
@@ -215,7 +214,7 @@ class TestLogTempered:
         lad = TemperingLadder.for_dimension(5)
         state = ChainState(delta=np.array([1, 0, 0, 1, 0]), theta=rng.standard_normal(5), k=1)
         assert log_tempered(state, g, prior, lad) == pytest.approx(
-            log_quasi_posterior(state, g, prior)
+            log_quasi_posterior(state, g, prior, rayleigh_selected(state, g))
         )
 
     def test_high_temperature_flattens_to_weight(self):
@@ -241,7 +240,7 @@ class TestLogTempered:
         )
         th = rng.standard_normal(6)
         state = ChainState(delta=np.array([1, 1, 0, 0, 1, 0]), theta=th, k=3)
-        want = -1.1 + log_quasi_posterior(state, g, prior) / 2.5
+        want = -1.1 + log_quasi_posterior(state, g, prior, rayleigh_selected(state, g)) / 2.5
         assert log_tempered(state, g, prior, lad) == pytest.approx(want, rel=1e-12)
 
     def test_bad_index_rejected(self):
@@ -254,6 +253,8 @@ class TestLogTempered:
 
 
 class TestGradSelected:
+    """The MALA gradient: selected_target on the block the sampler builds."""
+
     def _logw(self, u, sel, k, gep, prior, lad):
         """Selected-block log target recomputed from scratch."""
         A_ss = gep.A[np.ix_(sel, sel)]
@@ -276,7 +277,7 @@ class TestGradSelected:
             sel = np.flatnonzero(delta)
             u = rng.standard_normal(sel.size)
             k = int(rng.integers(1, 6))
-            grad = grad_selected(u, k, delta, g, prior, lad)
+            grad = selected_grad(u, k, delta, g, prior, lad)
             fd = np.zeros_like(u)
             for i in range(u.size):
                 up = u.copy()
@@ -303,7 +304,7 @@ class TestGradSelected:
         u = V[:, -1]
         prior = PriorConfig.defaults(8)
         lad = TemperingLadder.for_dimension(8)
-        grad = grad_selected(u, 2, delta, g, prior, lad)
+        grad = selected_grad(u, 2, delta, g, prior, lad)
         t2 = lad.temperatures[1]
         assert np.allclose(grad, -prior.rho1 * u / t2, atol=1e-9)
 
@@ -316,17 +317,9 @@ class TestGradSelected:
         lad = TemperingLadder.for_dimension(6)
         prior = PriorConfig(rho0=5.0, rho1=1e-12, q=0.5)
         c = 3.0
-        g1 = grad_selected(u, 1, delta, g, prior, lad)
-        g2 = grad_selected(c * u, 1, delta, g, prior, lad)
+        g1 = selected_grad(u, 1, delta, g, prior, lad)
+        g2 = selected_grad(c * u, 1, delta, g, prior, lad)
         assert np.allclose(g2, g1 / c, rtol=1e-6, atol=1e-12)
-
-    def test_dimension_mismatch_rejected(self):
-        g = toy_gep(n=5)
-        lad = TemperingLadder.for_dimension(2)
-        with pytest.raises(DimensionMismatchError):
-            grad_selected(
-                np.ones(2), 1, np.array([1, 0]), g, PriorConfig.defaults(2), lad
-            )
 
 
 @st.composite

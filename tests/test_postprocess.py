@@ -90,7 +90,7 @@ class TestPerSampleEstimates:
         assert np.allclose(est.v_x, r)
         assert np.allclose(est.v_y, r)
         assert est.n_skipped == 0
-        assert est.indices.tolist() == [0, 1, 2, 3, 4]
+        assert est.v_x.shape == est.v_y.shape == (5, 2)
 
     def test_sign_flip_flips_estimate(self):
         theta = np.array([0.3, -1.2, 0.7, 2.0])
@@ -120,7 +120,7 @@ class TestPerSampleEstimates:
         tr = toy_trace(delta, theta, np.ones(3, dtype=np.int64))
         est = per_sample_estimates(tr, np.arange(3), p_x=2)
         assert est.n_skipped == 1
-        assert est.indices.tolist() == [0, 2]
+        assert np.allclose(est.v_x, [[1.0, 0.0], [np.sqrt(0.5), np.sqrt(0.5)]])
 
     def test_all_skipped_errors(self):
         delta = np.array([[1, 1, 0, 0], [1, 0, 0, 0]], dtype=np.uint8)

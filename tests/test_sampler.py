@@ -4,7 +4,7 @@ import collections
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from stcca.covariance import GepPair, assemble_gep
@@ -12,15 +12,14 @@ from stcca.errors import DomainError
 from stcca.model import (
     ChainState,
     PriorConfig,
+    QuadraticCache,
     TemperingLadder,
-    grad_selected,
     log_quasi_posterior,
-    log_tempered,
+    rayleigh_selected,
 )
 from stcca.sampler import (
     advance_chain,
     draw_subset,
-    gibbs_success_prob,
     gibbs_update_delta,
     initial_state,
     mala_update_theta,
@@ -28,7 +27,7 @@ from stcca.sampler import (
     temperature_update,
 )
 
-from helpers import random_gep
+from helpers import flip_prob, random_gep, selected_grad
 
 
 def planted_gep(n=200) -> GepPair:
@@ -93,7 +92,42 @@ class TestDrawSubset:
         assert np.all(np.abs(freq - expect) < 4 * se)
 
 
+def sweep_to(state, g, prior, lad, j, u) -> int:
+    """Run a one-coordinate sweep of j at uniform u on a copy of state and
+    return j's indicator afterwards."""
+    s = state.copy()
+    gibbs_update_delta(s, g, prior, lad, np.array([j]), np.array([u]), QuadraticCache(g, s))
+    assert np.array_equal(np.delete(s.delta, j), np.delete(state.delta, j))
+    return int(s.delta[j])
+
+
+@st.composite
+def sweep_cases(draw):
+    """(gep, prior, ladder, state, j): a random problem with p <= 8, a ladder
+    of up to five rungs with random log weights, a state on a random rung,
+    and the coordinate to sweep."""
+    p = draw(st.integers(2, 8))
+    p_x = draw(st.integers(1, p - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_gep(rng, p_x, p - p_x, n=draw(st.integers(1, 40)))
+    prior = PriorConfig(q=draw(st.floats(0.01, 0.99)))
+    temps = np.cumsum([1.0] + draw(st.lists(st.floats(0.05, 1.0), max_size=4)))
+    lad = TemperingLadder(
+        temperatures=temps,
+        log_weights=rng.uniform(-2.0, 2.0, temps.size),
+        step_sizes=np.full(temps.size, 0.1),
+    )
+    delta = draw(st.lists(st.integers(0, 1), min_size=p, max_size=p))
+    state = ChainState(
+        delta=delta, theta=rng.standard_normal(p), k=draw(st.integers(1, temps.size))
+    )
+    return g, prior, lad, state, draw(st.integers(0, p - 1))
+
+
 class TestGibbsSuccessProb:
+    """The sweep's success probability q_j against the log_tempered
+    reference of tests/helpers.py."""
+
     def test_single_active_coordinate_is_forced(self):
         rng = np.random.default_rng(5)
         g = random_gep(rng, 3, 3, n=40)
@@ -102,7 +136,8 @@ class TestGibbsSuccessProb:
         )
         prior = PriorConfig.defaults(6)
         lad = TemperingLadder.for_dimension(6)
-        assert gibbs_success_prob(2, state, g, prior, lad) == 1.0
+        assert flip_prob(2, state, g, prior, lad) == 1.0
+        assert sweep_to(state, g, prior, lad, 2, np.nextafter(1.0, 0.0)) == 1
 
     def test_zero_quotient_difference_reduces_to_prior_odds(self):
         # A = 0 kills the quotient term; rho0 = rho1 kills the Gaussian term
@@ -119,32 +154,19 @@ class TestGibbsSuccessProb:
             delta=np.array([1, 1, 0, 1]), theta=rng.standard_normal(4), k=2
         )
         want = 1.0 / (1.0 + np.exp(-prior.a / 2.0))
-        assert gibbs_success_prob(0, state, g, prior, lad) == pytest.approx(want, rel=1e-12)
+        assert flip_prob(0, state, g, prior, lad) == pytest.approx(want, rel=1e-12)
+        assert sweep_to(state, g, prior, lad, 0, want * (1 - 1e-9)) == 1
+        assert sweep_to(state, g, prior, lad, 0, want * (1 + 1e-9)) == 0
 
-    def test_matches_tempered_density_ratio(self):
-        # two-point oracle: q_j = sigmoid(logpi(delta_on) - logpi(delta_off))
-        rng = np.random.default_rng(7)
-        g = random_gep(rng, 3, 3, n=35)
-        prior = PriorConfig.defaults(6)
-        lad = TemperingLadder.for_dimension(6)
-        for trial in range(20):
-            delta = rng.integers(0, 2, size=6)
-            delta[rng.integers(6)] = 1
-            theta = rng.standard_normal(6)
-            k = int(rng.integers(1, 6))
-            j = int(rng.integers(6))
-            state = ChainState(delta=delta.copy(), theta=theta, k=k)
-            d_on = delta.copy()
-            d_on[j] = 1
-            d_off = delta.copy()
-            d_off[j] = 0
-            if d_off.sum() == 0:
-                continue
-            lt_on = log_tempered(ChainState(delta=d_on, theta=theta, k=k), g, prior, lad)
-            lt_off = log_tempered(ChainState(delta=d_off, theta=theta, k=k), g, prior, lad)
-            want = 1.0 / (1.0 + np.exp(lt_off - lt_on))
-            got = gibbs_success_prob(j, state, g, prior, lad)
-            assert got == pytest.approx(want, abs=1e-10)
+    @given(sweep_cases())
+    def test_matches_tempered_density_ratio(self, case):
+        # two-point oracle: q_j = sigmoid(logpi(delta_on) - logpi(delta_off)),
+        # away from the forced and zero-probability edges
+        g, prior, lad, state, j = case
+        q = flip_prob(j, state, g, prior, lad)
+        assume(1e-4 < q < 1.0 - 1e-4)
+        assert sweep_to(state, g, prior, lad, j, q * (1 - 1e-9)) == 1
+        assert sweep_to(state, g, prior, lad, j, q * (1 + 1e-9)) == 0
 
 
 class TestGibbsUpdateDelta:
@@ -155,7 +177,7 @@ class TestGibbsUpdateDelta:
         before = state.delta.copy()
         gibbs_update_delta(
             state, g, PriorConfig.defaults(6), TemperingLadder.for_dimension(6),
-            np.array([], dtype=int), rng.random(0),
+            np.array([], dtype=int), rng.random(0), QuadraticCache(g, state),
         )
         assert np.array_equal(state.delta, before)
 
@@ -167,7 +189,9 @@ class TestGibbsUpdateDelta:
         state = ChainState(delta=np.ones(8), theta=rng.standard_normal(8))
         before = state.delta.copy()
         subset = np.array([1, 5])
-        gibbs_update_delta(state, g, prior, lad, subset, rng.random(subset.size))
+        gibbs_update_delta(
+            state, g, prior, lad, subset, rng.random(subset.size), QuadraticCache(g, state)
+        )
         outside = [j for j in range(8) if j not in (1, 5)]
         assert np.array_equal(state.delta[outside], before[outside])
 
@@ -180,11 +204,20 @@ class TestGibbsUpdateDelta:
             state = ChainState(
                 delta=np.array([0, 1, 0, 0]), theta=np.random.default_rng(seed).standard_normal(4)
             )
-            gibbs_update_delta(
-                state, g, prior, lad, np.array([1]),
-                np.random.default_rng(seed + 100).random(1),
-            )
-            assert state.delta[1] == 1
+            u = np.random.default_rng(seed + 100).random()
+            assert sweep_to(state, g, prior, lad, 1, u) == 1
+
+    def test_forced_coordinate_stays_on_at_uniform_one(self):
+        # the last active coordinate has log-odds +inf: no uniform in [0, 1],
+        # 1.0 included, may empty the support
+        rng = np.random.default_rng(5)
+        g = random_gep(rng, 3, 3, n=40)
+        state = ChainState(
+            delta=np.array([0, 0, 1, 0, 0, 0]), theta=rng.standard_normal(6)
+        )
+        prior = PriorConfig.defaults(6)
+        lad = TemperingLadder.for_dimension(6)
+        assert sweep_to(state, g, prior, lad, 2, 1.0) == 1
 
     def test_injected_uniform_thresholds(self):
         rng = np.random.default_rng(11)
@@ -193,11 +226,10 @@ class TestGibbsUpdateDelta:
         lad = TemperingLadder.for_dimension(6)
         state = ChainState(delta=np.array([1, 1, 0, 0, 1, 0]), theta=rng.standard_normal(6))
         # u = 0 lies below every q_j > 0, so the coordinate switches on
-        gibbs_update_delta(state, g, prior, lad, np.array([3]), np.array([0.0]))
-        assert state.delta[3] == 1
+        assert sweep_to(state, g, prior, lad, 3, 0.0) == 1
+        state.delta[3] = 1
         # u = 1 exceeds every q_j < 1, switching a non-forced coordinate off
-        gibbs_update_delta(state, g, prior, lad, np.array([3]), np.array([1.0]))
-        assert state.delta[3] == 0
+        assert sweep_to(state, g, prior, lad, 3, 1.0) == 0
 
     def test_zero_probability_stays_off_at_zero_uniform(self):
         # at n = 2000 switching coordinate 1 on costs the planted quotient
@@ -208,9 +240,8 @@ class TestGibbsUpdateDelta:
         prior = PriorConfig(rho0=1.0, rho1=1.0, q=0.2)
         lad = TemperingLadder.for_dimension(4)
         state = ChainState(delta=np.array([1, 0, 1, 0]), theta=np.array([1.0, 1.0, 1.0, 0.0]))
-        assert gibbs_success_prob(1, state, g, prior, lad) == 0.0
-        gibbs_update_delta(state, g, prior, lad, np.array([1]), np.array([0.0]))
-        assert state.delta[1] == 0
+        assert flip_prob(1, state, g, prior, lad) == 0.0
+        assert sweep_to(state, g, prior, lad, 1, 0.0) == 0
 
     def test_single_coordinate_frequency(self):
         # Monte Carlo frequency oracle at reduced scale
@@ -220,14 +251,12 @@ class TestGibbsUpdateDelta:
         lad = TemperingLadder.for_dimension(6)
         base = ChainState(delta=np.array([1, 0, 1, 0, 0, 1]), theta=rng.standard_normal(6))
         j = 3
-        q = gibbs_success_prob(j, base, g, prior, lad)
+        q = flip_prob(j, base, g, prior, lad)
         assert 0.0 < q < 1.0
         reps = 20_000
         hits = 0
         for _ in range(reps):
-            state = base.copy()
-            gibbs_update_delta(state, g, prior, lad, np.array([j]), rng.random(1))
-            hits += int(state.delta[j])
+            hits += sweep_to(base, g, prior, lad, j, rng.random())
         freq = hits / reps
         se = np.sqrt(q * (1 - q) / reps)
         assert abs(freq - q) <= 3 * se
@@ -304,7 +333,7 @@ class TestMalaUpdateTheta:
         theta0 = np.array([1.0, 0.5])
         state = ChainState(delta=delta.copy(), theta=theta0.copy())
         eta = 0.01
-        gvec = grad_selected(theta0, 1, delta, g, prior, lad)
+        gvec = selected_grad(theta0, 1, delta, g, prior, lad)
         target = np.array([0.0, 1.0])  # theta' B theta = 0 there
         xi = (target - theta0 - eta * gvec) / np.sqrt(2 * eta)
         accepted, alpha, _ = mala_update_theta(state, g, prior, lad, xi, 0.0)
@@ -389,7 +418,7 @@ class TestTemperatureUpdate:
     def test_occupancy_matches_weights(self):
         # fixed state, k moves alone: stationary law known in closed form
         state, g, prior, lad = self._setup(3, log_weights=np.array([0.0, 0.7, -0.4]))
-        L = log_quasi_posterior(state, g, prior)
+        L = log_quasi_posterior(state, g, prior, rayleigh_selected(state, g))
         log_w = -lad.log_weights + L / lad.temperatures
         pi = np.exp(log_w - log_w.max())
         pi /= pi.sum()

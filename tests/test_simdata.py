@@ -50,7 +50,7 @@ class TestBuildPopulationCov:
         w, V = scipy.linalg.eigh(gep.A, gep.B)
         assert abs(w[-1] - 0.9) < 1e-8
         top = V[:, -1]
-        truth = model.theta_star()
+        truth = np.concatenate([model.v_x_star, model.v_y_star])
         cosine = abs(top @ truth) / (np.linalg.norm(top) * np.linalg.norm(truth))
         assert cosine > 1 - 1e-8
 
@@ -60,7 +60,7 @@ class TestBuildPopulationCov:
         w, V = scipy.linalg.eigh(gep.A, gep.B)
         assert abs(w[-1] - 0.9) < 1e-8
         top = V[:, -1]
-        truth = model.theta_star()
+        truth = np.concatenate([model.v_x_star, model.v_y_star])
         cosine = abs(top @ truth) / (np.linalg.norm(top) * np.linalg.norm(truth))
         assert cosine > 1 - 1e-8
 
@@ -139,14 +139,3 @@ class TestTruncateCopula:
         obs = truncate_copula(latent, TruncationSpec(C=C))
         assert not np.any(obs.Y[:, :5] == 0.0)
         assert np.all(obs.Y[:, 5:] == 0.0)
-
-    def test_monotone_transform_applies_to_both_views(self):
-        # thresholding happens on the observed scale: exp(U) > 1 iff U > 0
-        model = build_population_cov(20)
-        latent = sample_gaussian_pairs(model, 300, seed=47)
-        spec = TruncationSpec(C=1.0, h_inv=np.exp)
-        obs = truncate_copula(latent, spec)
-        assert np.array_equal(obs.X, np.exp(latent.X))
-        kept = obs.Y != 0.0
-        assert np.array_equal(kept, latent.Y > 0.0)
-        assert np.array_equal(obs.Y[kept], np.exp(latent.Y)[kept])
