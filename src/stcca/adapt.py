@@ -121,7 +121,6 @@ class AdaptiveHook:
     def __init__(self, adapt: AdaptState, ladder: TemperingLadder):
         self.adapt = adapt
         self.ladder = ladder
-        self.a_wl_path: list[float] = []
 
     def after_iteration(self, state: ChainState, k_mala: int, alpha: float) -> None:
         adapt = self.adapt
@@ -130,7 +129,6 @@ class AdaptiveHook:
         flatness_check(adapt)
         self.ladder.log_weights[:] = adapt.log_c
         self.ladder.step_sizes[:] = np.exp(adapt.tau)
-        self.a_wl_path.append(adapt.a_wl)
 
 
 def run_adaptive_chain(
@@ -155,7 +153,4 @@ def run_adaptive_chain(
         seed=seed,
         adapt=hook,
     )
-    trace.diagnostics["a_wl"] = np.asarray(hook.a_wl_path)
-    trace.diagnostics["final_step_sizes"] = ladder.step_sizes.copy()
-    trace.diagnostics["final_log_weights"] = ladder.log_weights.copy()
     return trace, adapt

@@ -26,6 +26,7 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -253,6 +254,10 @@ def validate_config(raw: dict, command: str) -> ExperimentConfig:
             f"simulated data needs p_x = p_y, got {cfg.p_x} and {cfg.p_y}"
         )
 
+    if command == "couple":
+        unread = [key for key in ("data_dir", "estimator", "c") if raw.get(key) is not None]
+        if unread:
+            raise ConfigError(f"couple runs on the population pair and reads no {unread}")
     if mode == "couple":
         for entry in cfg.p_grid:
             if entry < 10 or entry % 10 != 0:
@@ -269,22 +274,11 @@ def validate_config(raw: dict, command: str) -> ExperimentConfig:
 # serialization helpers
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
-
-
 def _dump_json(path: Path, obj) -> None:
-    text = json.dumps(_jsonable(obj), sort_keys=True, indent=2, ensure_ascii=False)
+    # json hands what it cannot encode, numpy arrays and integers, to default
+    text = json.dumps(
+        obj, sort_keys=True, indent=2, ensure_ascii=False, default=lambda o: o.tolist()
+    )
     path.write_text(text + "\n", encoding="utf-8")
 
 
@@ -401,19 +395,8 @@ def _read_trace_csv(path: Path):
 
 
 def _report_dict(rep: EstimateReport, seed=None) -> dict:
-    d = {
-        "p_x": rep.p_x,
-        "n_samples": rep.n_samples,
-        "n_skipped": rep.n_skipped,
-        "delta_bar": [int(b) for b in rep.delta_bar],
-        "v_bar_x": [float(x) for x in rep.v_bar_x],
-        "v_bar_y": [float(x) for x in rep.v_bar_y],
-        "inclusion_probs": [float(x) for x in rep.inclusion_probs],
-    }
-    for metric in _METRICS:
-        value = getattr(rep, metric)
-        if value is not None:
-            d[metric] = float(value)
+    # every report field, metrics left None (no reference pair) omitted
+    d = {k: v for k, v in asdict(rep).items() if v is not None}
     if seed is not None:
         d["seed"] = int(seed)
     return d
@@ -463,22 +446,25 @@ def _load_data_dir(cfg: ExperimentConfig):
     if X.shape[0] != cfg.n:
         raise ConfigError(f"data has {X.shape[0]} rows but config n = {cfg.n}")
     truth_path = root / "truth.json"
-    truth = _load_truth(truth_path) if truth_path.is_file() else (None, None)
+    truth = _load_truth(truth_path, cfg) if truth_path.is_file() else (None, None)
     return Dataset(X=X, Y=Y), *truth
 
 
-def _load_truth(path):
-    """The reference directions (v_x_star, v_y_star) of a truth JSON."""
+def _load_truth(path, cfg: ExperimentConfig):
+    """The reference directions (v_x_star, v_y_star) of a truth JSON, of
+    lengths p_x and p_y."""
     truth = _load_json(Path(path))
     if not (isinstance(truth, dict) and {"v_x_star", "v_y_star"} <= truth.keys()):
         raise ConfigError(f"{path} is not an object with v_x_star and v_y_star")
     try:
-        return (
-            np.asarray(truth["v_x_star"], dtype=float),
-            np.asarray(truth["v_y_star"], dtype=float),
-        )
+        v_x = np.asarray(truth["v_x_star"], dtype=float)
+        v_y = np.asarray(truth["v_y_star"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path} has a non-numeric v_x_star / v_y_star: {exc}")
+    if v_x.shape != (cfg.p_x,) or v_y.shape != (cfg.p_y,):
+        raise ConfigError(f"{path} has v_x_star / v_y_star of shapes {v_x.shape} / {v_y.shape}, "
+                          f"but the config has p_x = {cfg.p_x}, p_y = {cfg.p_y}")
+    return v_x, v_y
 
 
 def _make_data(cfg: ExperimentConfig, data_ss):
@@ -525,19 +511,6 @@ def _bench_worker(task):
     cfg, seed, tempered = task
     _, report = _run_replication(cfg, seed, tempered)
     return seed, report
-
-
-def _couple_worker(task):
-    gep, prior, temps, n_max, subset_size, lag, child_ss = task
-    return lagged_meeting_time(
-        gep,
-        prior,
-        temperatures=temps,
-        n_max=n_max,
-        subset_size=subset_size,
-        lag=lag,
-        seed=child_ss,
-    )
 
 
 def _map_tasks(jobs: int, fn, tasks):
@@ -671,12 +644,10 @@ def cmd_couple(cfg: ExperimentConfig, args, out_dir: Path) -> None:
         S = model.Sigma
         gep = assemble_gep(S[:px, :px], S[px:, px:], S[:px, px:], n=cfg.n)
         lag, n_max = coupling_limits(p, cfg.lag, cfg.n_max)
-        prior = cfg.prior(p)
-        tasks = [
-            (gep, prior, cfg.temperatures, n_max, cfg.J, lag, child)
-            for child in p_ss.spawn(cfg.n_reps)
-        ]
-        taus = _map_tasks(args.jobs, _couple_worker, tasks)
+        meeting_time = partial(
+            lagged_meeting_time, gep, cfg.prior(p), cfg.temperatures, n_max, cfg.J, lag
+        )
+        taus = _map_tasks(args.jobs, meeting_time, p_ss.spawn(cfg.n_reps))
         met = [t for t in taus if t is not None]
         entry = {
             "p": p,
@@ -711,7 +682,7 @@ def cmd_report(cfg: ExperimentConfig, args, out_dir: Path) -> None:
     if (p_x, trace.p - p_x) != (cfg.p_x, cfg.p_y):
         raise ConfigError(f"{args.trace} records p_x = {p_x}, p_y = {trace.p - p_x}, "
                           f"but the config has p_x = {cfg.p_x}, p_y = {cfg.p_y}")
-    truth_x, truth_y = (None, None) if args.truth is None else _load_truth(args.truth)
+    truth_x, truth_y = (None, None) if args.truth is None else _load_truth(args.truth, cfg)
 
     # the trace carries its iteration numbers, so a thinned trace keeps the
     # burn-in boundary of the run it came from

@@ -39,15 +39,12 @@ from .sampler import (
 
 @dataclass
 class CoupledState:
-    """A lagged pair: chain1 leads chain2 by `lag` iterations."""
+    """A lagged pair: chain1 leads chain2 by the coupling's lag."""
 
     chain1: ChainState
     chain2: ChainState
-    lag: int
 
     def __post_init__(self) -> None:
-        if self.lag < 1:
-            raise DomainError("lag must be a positive integer")
         if self.chain1.p != self.chain2.p:
             raise DomainError("coupled chains must share a dimension")
 
@@ -118,45 +115,37 @@ def coupled_theta_step(
     d2 = c2.delta.astype(bool)
     g11 = d1 & d2
 
-    z_full = np.zeros(c1.p)
-    not_g11 = np.flatnonzero(~g11)
-    z_full[not_g11] = normals[: not_g11.size]
-    xi_base = normals[not_g11.size :]
+    # one normal per coordinate; the jointly active block takes the tail
+    m = c1.p - int(g11.sum())
+    xi_base = normals[m:]
+    z = np.empty(c1.p)
+    z[~g11] = normals[:m]
+    z[g11] = xi_base
 
-    c1.theta[~d1] = math.sqrt(t1 / prior.rho0) * z_full[~d1]
-    c2.theta[~d2] = math.sqrt(t2 / prior.rho0) * z_full[~d2]
+    c1.theta[~d1] = math.sqrt(t1 / prior.rho0) * z[~d1]
+    c2.theta[~d2] = math.sqrt(t2 / prior.rho0) * z[~d2]
 
     s1 = math.sqrt(2.0 * eta1)
     s2 = math.sqrt(2.0 * eta2)
-
-    in11_1 = d2[sel1]
-    in11_2 = d1[sel2]
-    xi1 = np.empty(sel1.size)
-    xi1[in11_1] = xi_base
-    xi1[~in11_1] = z_full[sel1[~in11_1]]
-    prop1 = mu1 + s1 * xi1
-
-    # coordinates active in exactly one chain take their shared normals;
-    # the jointly active components are coupled below
-    prop2 = np.empty(sel2.size)
-    prop2[~in11_2] = mu2[~in11_2] + s2 * z_full[sel2[~in11_2]]
+    prop1 = mu1 + s1 * z[sel1]
+    prop2 = mu2 + s2 * z[sel2]
     if mirrors(pair):
         # equal step scale on the shared components: maximal coupling of the
         # two Gaussian blocks, residual mass handled by reflection. A copied
         # block makes the shared components coincide exactly, which is what
         # lets the pair coalesce coordinate island by coordinate island.
-        z = (mu1[in11_1] - mu2[in11_2]) / s1
-        shifted = xi_base + z
+        in11_1 = d2[sel1]
+        in11_2 = d1[sel2]
+        gap = (mu1[in11_1] - mu2[in11_2]) / s1
+        shifted = xi_base + gap
         log_ratio = -0.5 * float(shifted @ shifted) + 0.5 * float(xi_base @ xi_base)
         if u_couple <= 0.0 or math.log(u_couple) < log_ratio:
             prop2[in11_2] = prop1[in11_1]
         else:
-            e = z / math.sqrt(float(z @ z))
+            e = gap / math.sqrt(float(gap @ gap))
             prop2[in11_2] = mu2[in11_2] + s2 * (
                 xi_base - 2.0 * float(e @ xi_base) * e
             )
-    else:
-        prop2[in11_2] = mu2[in11_2] + s2 * xi_base
 
     # forward term from the realized proposal rather than the noise, so two
     # identical chains run bit-identical arithmetic through the accept test
@@ -273,7 +262,7 @@ def lagged_meeting_time(
     for _ in range(lag):
         advance_chain(x, gep, prior, ladder, subset_size, rng_solo, adapt=hook)
 
-    pair = CoupledState(chain1=x, chain2=y, lag=lag)
+    pair = CoupledState(chain1=x, chain2=y)
     rng_pair = np.random.default_rng(seq_pair)
     for t in range(lag + 1, n_max + 1):
         coupled_step(pair, gep, prior, ladder, subset_size, rng_pair, adapt=hook)
@@ -307,17 +296,17 @@ class TvCurve:
     t_grid: np.ndarray
     bound: np.ndarray
 
-    def mixing_time(self, eps: float = 0.1) -> int | None:
+    def mixing_time(self, eps: float) -> int | None:
         """First grid point where the bound drops below eps."""
         hits = np.flatnonzero(self.bound < eps)
         return int(self.t_grid[hits[0]]) if hits.size else None
 
 
-def tv_bound_curve(meeting_times, lag: int, t_grid=None) -> TvCurve:
+def tv_bound_curve(meeting_times, lag: int) -> TvCurve:
     """Average the lagged-meeting tail bound over replications.
 
     bound(t) = mean of max(0, ceil((tau - lag - t) / lag)); exact in integer
-    arithmetic. The default grid runs from 0 to the point where the largest
+    arithmetic. The grid runs from 0 to the point where the largest
     replication's contribution vanishes.
     """
     taus = list(meeting_times)
@@ -328,10 +317,7 @@ def tv_bound_curve(meeting_times, lag: int, t_grid=None) -> TvCurve:
     if lag < 1:
         raise DomainError("lag must be a positive integer")
     taus = np.asarray(taus, dtype=np.int64)
-    if t_grid is None:
-        t_grid = np.arange(max(int(taus.max()) - lag, 0) + 1, dtype=np.int64)
-    else:
-        t_grid = np.asarray(t_grid, dtype=np.int64)
+    t_grid = np.arange(max(int(taus.max()) - lag, 0) + 1, dtype=np.int64)
     excess = taus[None, :] - lag - t_grid[:, None]
     ceils = -(-excess // lag)
     bound = np.maximum(ceils, 0).mean(axis=1)

@@ -86,6 +86,8 @@ class GepPair:
         self.p = self.p_x + self.p_y
         if self.A.shape != (self.p, self.p) or self.B.shape != (self.p, self.p):
             raise DimensionMismatchError("A and B must be p x p with p = p_x + p_y")
+        if np.diag(self.A).any():
+            raise DomainError("A must have a zero diagonal")
 
 
 def sample_covariance(data: np.ndarray) -> np.ndarray:

@@ -230,7 +230,6 @@ class QuadraticCache:
 
     def __init__(self, gep: GepPair, state: ChainState):
         self._gep = gep
-        self._A_diag = np.ascontiguousarray(np.diag(gep.A))
         self._B_diag = np.ascontiguousarray(np.diag(gep.B))
         sel = np.flatnonzero(state.delta)
         theta_sel = state.theta[sel]
@@ -242,39 +241,20 @@ class QuadraticCache:
 
     def branch_forms(self, j: int, theta_j: float, selected: bool):
         """Quadratic forms with coordinate j forced off and on:
-        (qa_off, qb_off, qa_on, qb_on)."""
+        (qa_off, qb_off, qa_on, qb_on). A's diagonal is zero (GepPair), so
+        the qa correction has no diagonal term."""
         aj = float(self.a_dot[j])
         bj = float(self.b_dot[j])
-        ta = theta_j * theta_j * float(self._A_diag[j])
         tb = theta_j * theta_j * float(self._B_diag[j])
         if selected:
             qa_on, qb_on = self.qa, self.qb
-            qa_off = self.qa - 2.0 * theta_j * aj + ta
+            qa_off = self.qa - 2.0 * theta_j * aj
             qb_off = self.qb - 2.0 * theta_j * bj + tb
         else:
             qa_off, qb_off = self.qa, self.qb
-            qa_on = self.qa + 2.0 * theta_j * aj + ta
+            qa_on = self.qa + 2.0 * theta_j * aj
             qb_on = self.qb + 2.0 * theta_j * bj + tb
         return qa_off, qb_off, qa_on, qb_on
-
-    def branch_rayleigh(self, j: int, theta_j: float, selected: bool):
-        """Quotients with coordinate j off and on, honoring the empty-model
-        convention: the off branch of a single active coordinate is -inf."""
-        qa_off, qb_off, qa_on, qb_on = self.branch_forms(j, theta_j, selected)
-        off_empty = selected and self.n_active == 1
-        if off_empty or qb_off <= 0.0:
-            r_off = -np.inf
-        else:
-            r_off = qa_off / qb_off
-        if qb_on <= 0.0:
-            r_on = -np.inf
-        else:
-            r_on = qa_on / qb_on
-        if r_off == -np.inf and r_on == -np.inf:
-            raise UndefinedQuotientError(
-                f"both flip branches of coordinate {j} have undefined quotients"
-            )
-        return r_off, r_on
 
     def commit_flip(self, j: int, theta_j: float, now_selected: bool) -> None:
         """Apply the rank-one update after state.delta[j] changed."""

@@ -8,7 +8,7 @@ work is confined to the selected block and one O(p) commit per flip.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,14 +59,25 @@ def _flip_log_odds(
     quot_coef: float,
     t_k: float,
 ) -> float:
-    """Log odds of delta_j = 1 against 0, everything else held fixed."""
-    r_off, r_on = cache.branch_rayleigh(j, theta_j, selected)
-    if r_on == -np.inf:
-        return -np.inf
-    if r_off == -np.inf:
-        return np.inf
+    """Log odds of delta_j = 1 against 0, everything else held fixed.
+
+    A branch with no quotient (theta' B theta <= 0, or the empty model when
+    j is the last active coordinate) has probability 0: the log odds are
+    -inf when the on branch has none and +inf when only the off branch has
+    none. When neither has one, raises UndefinedQuotientError.
+    """
+    qa_off, qb_off, qa_on, qb_on = cache.branch_forms(j, theta_j, selected)
+    off_undefined = (selected and cache.n_active == 1) or qb_off <= 0.0
+    if qb_on <= 0.0:
+        if off_undefined:
+            raise UndefinedQuotientError(
+                f"both flip branches of coordinate {j} have undefined quotients"
+            )
+        return -math.inf
+    if off_undefined:
+        return math.inf
     base = prior.a + 0.5 * (prior.rho0 - prior.rho1) * theta_j * theta_j
-    return (base + quot_coef * (r_on - r_off)) / t_k
+    return (base + quot_coef * (qa_on / qb_on - qa_off / qb_off)) / t_k
 
 
 def gibbs_update_delta(
@@ -225,8 +236,8 @@ def initial_state(p: int, rng) -> ChainState:
 
 @dataclass
 class ChainTrace:
-    """Full recording of a chain run: every state plus per-iteration
-    diagnostics. Row 0 is the initial state.
+    """Full recording of a chain run: every state and its selected
+    quotient. Row 0 is the initial state.
 
     Row t records iteration t, unless `iters` holds the iteration number of
     each row, as in a thinned trace read back from CSV.
@@ -237,7 +248,6 @@ class ChainTrace:
     k: np.ndarray
     rayleigh: np.ndarray
     n_iters: int
-    diagnostics: dict = field(default_factory=dict)
     iters: np.ndarray | None = None
 
     @property
@@ -256,15 +266,15 @@ def advance_chain(
     subset_size: int,
     rng,
     adapt=None,
-):
+) -> float:
     """One full sampler iteration in place: support sweep over a fresh random
     subset, loading update, temperature move, then the optional adaptation
     hook. The hook never sees the generator: attaching one changes the ladder
     that later draws are applied against, never the draws themselves.
 
     All of the iteration's random numbers are drawn here, first, and the
-    kernels only apply them. Returns (alpha, k_mala, r_selected) where k_mala
-    is the temperature the loading move ran under.
+    kernels only apply them. Returns the selected quotient after the loading
+    move.
     """
     subset = draw_subset(gep.p, subset_size, rng)
     uniforms = rng.random(subset.size)
@@ -283,7 +293,7 @@ def advance_chain(
 
     if adapt is not None:
         adapt.after_iteration(state, k_mala, alpha)
-    return alpha, k_mala, r_sel
+    return r_sel
 
 
 def run_chain(
@@ -306,8 +316,6 @@ def run_chain(
     theta_tr = np.empty((n_iters + 1, p))
     k_tr = np.empty(n_iters + 1, dtype=np.int64)
     r_tr = np.empty(n_iters + 1)
-    alpha_tr = np.empty(n_iters)
-    k_mala_tr = np.empty(n_iters, dtype=np.int64)
 
     delta_tr[0] = state.delta
     theta_tr[0] = state.theta
@@ -315,15 +323,13 @@ def run_chain(
     r_tr[0] = rayleigh_selected(state, gep)
 
     for it in range(n_iters):
-        alpha, k_mala, r_sel = advance_chain(
+        r_sel = advance_chain(
             state, gep, prior, ladder, subset_size, rng, adapt=adapt
         )
         delta_tr[it + 1] = state.delta
         theta_tr[it + 1] = state.theta
         k_tr[it + 1] = state.k
         r_tr[it + 1] = r_sel
-        alpha_tr[it] = alpha
-        k_mala_tr[it] = k_mala
 
     return ChainTrace(
         delta=delta_tr,
@@ -331,5 +337,4 @@ def run_chain(
         k=k_tr,
         rayleigh=r_tr,
         n_iters=n_iters,
-        diagnostics={"alpha": alpha_tr, "k_mala": k_mala_tr},
     )

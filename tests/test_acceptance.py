@@ -243,7 +243,7 @@ def test_acceptance_4_coupled_kernel_fidelity(capsys):
     rng_2 = np.random.default_rng(300)
     gc1, gs1, gc2, gs2 = {}, {}, {}, {}
     for _ in range(trials):
-        pair = CoupledState(chain1=fresh(base1), chain2=fresh(base2), lag=1)
+        pair = CoupledState(chain1=fresh(base1), chain2=fresh(base2))
         coupled_gibbs_step(
             pair, gep, prior, ladder, subset, rng_c.random(3),
             QuadraticCache(gep, pair.chain1), QuadraticCache(gep, pair.chain2),
@@ -277,7 +277,7 @@ def test_acceptance_4_coupled_kernel_fidelity(capsys):
     mc = np.empty((trials, 4))
     ms = np.empty((trials, 4))
     for i in range(trials):
-        pair = CoupledState(chain1=fresh(base1), chain2=fresh(base2), lag=1)
+        pair = CoupledState(chain1=fresh(base1), chain2=fresh(base2))
         normals = rng_c.standard_normal(10)
         u_couple = float(rng_c.random()) if mirrors(pair) else None
         coupled_theta_step(pair, gep, prior, ladder, normals, u_couple, rng_c.random())
@@ -300,7 +300,7 @@ def test_acceptance_4_coupled_kernel_fidelity(capsys):
     rng_2 = np.random.default_rng(302)
     tc1, ts1, tc2, ts2 = {}, {}, {}, {}
     for _ in range(trials):
-        pair = CoupledState(chain1=fresh(base1), chain2=fresh(base2), lag=1)
+        pair = CoupledState(chain1=fresh(base1), chain2=fresh(base2))
         coupled_temperature_step(pair, gep, prior, ladder, *rng_c.random(2), lp1, lp2)
         tc1[pair.chain1.k] = tc1.get(pair.chain1.k, 0) + 1
         tc2[pair.chain2.k] = tc2.get(pair.chain2.k, 0) + 1
@@ -313,7 +313,7 @@ def test_acceptance_4_coupled_kernel_fidelity(capsys):
     p_temp = min(_chisq_homogeneity(tc1, ts1), _chisq_homogeneity(tc2, ts2))
 
     rng = np.random.default_rng(999)
-    pair = CoupledState(chain1=fresh(base1), chain2=fresh(base1), lag=1)
+    pair = CoupledState(chain1=fresh(base1), chain2=fresh(base1))
     merged = True
     for _ in range(100):
         coupled_step(pair, gep, prior, ladder, 10, rng)

@@ -20,7 +20,13 @@ from stcca.model import (
     log_quasi_posterior,
     rayleigh_selected,
 )
-from stcca.sampler import advance_chain, draw_subset, initial_state, temperature_update
+from stcca.sampler import (
+    advance_chain,
+    draw_subset,
+    initial_state,
+    run_chain,
+    temperature_update,
+)
 from stcca.simdata import build_population_cov, sample_gaussian_pairs
 
 TEMPS5 = (1.0, 1 / 0.9, 1 / 0.8, 1 / 0.7, 1 / 0.6)
@@ -123,15 +129,28 @@ def small_problem(p=20, n=100, seed=0):
     return estimate_gep(data, method="sample")
 
 
+class RecordingHook(AdaptiveHook):
+    """The adaptation hook, also recording each iteration's loading-move
+    rung and acceptance probability."""
+
+    def __init__(self, adapt, ladder):
+        super().__init__(adapt, ladder)
+        self.k_mala, self.alpha = [], []
+
+    def after_iteration(self, state, k_mala, alpha):
+        self.k_mala.append(k_mala)
+        self.alpha.append(alpha)
+        super().after_iteration(state, k_mala, alpha)
+
+
 class TestRunAdaptiveChain:
     def test_returns_trace_and_state(self):
         gep = small_problem()
         prior = PriorConfig.defaults(20)
         trace, adapt = run_adaptive_chain(gep, prior, TEMPS5, 300, seed=2)
         assert trace.delta.shape == (301, 20)
+        assert trace.rayleigh.shape == (301,)
         assert adapt.K == 5
-        assert len(trace.diagnostics["a_wl"]) == 300
-        assert trace.diagnostics["final_step_sizes"].shape == (5,)
 
     def test_single_temperature_halves_every_iteration(self):
         # K=1 occupancy is always exactly flat, so each check fires
@@ -164,7 +183,8 @@ class TestRunAdaptiveChain:
         if len(temps) > 1:
             probe.random(2)
         assert rng.bit_generator.state == probe.bit_generator.state
-        assert hook.a_wl_path == [hook.adapt.a_wl]
+        # the hook ran once: one visit counted, or at K=1 one stage reset
+        assert hook.adapt.v.sum() + hook.adapt.n_resets == 1
 
     def test_determinism(self):
         gep = small_problem()
@@ -179,9 +199,11 @@ class TestRunAdaptiveChain:
         # quarter should sit in the 30% neighborhood
         gep = small_problem(seed=4)
         prior = PriorConfig.defaults(20)
-        trace, _ = run_adaptive_chain(gep, prior, TEMPS5, 6000, seed=5)
-        alpha = trace.diagnostics["alpha"]
-        k_mala = trace.diagnostics["k_mala"]
+        ladder = TemperingLadder.for_dimension(20, TEMPS5)
+        hook = RecordingHook(AdaptState.for_ladder(ladder), ladder)
+        run_chain(gep, prior, ladder, 6000, seed=5, adapt=hook)
+        alpha = np.array(hook.alpha)
+        k_mala = np.array(hook.k_mala)
         last = slice(4500, 6000)
         for k in range(1, 6):
             sel = k_mala[last] == k

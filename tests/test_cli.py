@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from stcca.adapt import run_adaptive_chain
 from stcca.cli import (
-    _jsonable,
     _read_trace_csv,
     _report_dict,
     _write_trace_csv,
@@ -95,6 +94,11 @@ class TestConfigValidation:
             {"p_grid": [15]},
             {"p_grid": [20, 40], "n_max": 30},
             {"p_grid": [20], "lag": 5000},
+            # couple runs on the population pair and reads none of these
+            {"p_grid": [20], "data_dir": "/nonexistent", "estimator": "kendall-sine", "c": 0.5},
+            {"p_grid": [20], "data_dir": "d"},
+            {"p_grid": [20], "estimator": "sample"},
+            {"p_grid": [20], "c": 0},
         ):
             with pytest.raises(ConfigError):
                 validate_config(raw, "couple")
@@ -196,6 +200,26 @@ class TestErrorSurface:
         bad = X if damage in ("x_not_utf8", "ragged") else truth
         self.fails_on(capsys, ["estimate-cov", *dims, "--data_dir", data_dir], bad,
                       tmp_path / "est")
+
+    # v_x_star cut to 3 entries, or v_y_star grown to 11, at p_x = p_y = 10:
+    # `sample --data_dir` and `report --truth` both exit 2, naming the file
+    @pytest.mark.parametrize("route", ["sample", "report"])
+    @pytest.mark.parametrize("key, length", [("v_x_star", 3), ("v_y_star", 11)])
+    def test_truth_vector_lengths_checked(self, tmp_path, capsys, route, key, length):
+        data_dir = tmp_path / "data"
+        assert run_cli(["simulate", "--p_x", 10, "--p_y", 10, "--n", 30, "--out", data_dir]) == 0
+        truth = data_dir / "truth.json"
+        doc = json.loads(truth.read_text())
+        doc[key] = (doc[key] * 2)[:length]
+        truth.write_text(json.dumps(doc))
+        if route == "sample":
+            argv = [*SMALL_SAMPLE, "--data_dir", data_dir]
+        else:
+            assert run_cli([*SMALL_SAMPLE, "--out", tmp_path / "run"]) == 0
+            argv = ["report", "--p_x", 10, "--p_y", 10, "--truth", truth,
+                    "--trace", tmp_path / "run" / "trace_s0.csv"]
+        message = self.fails_on(capsys, argv, truth, tmp_path / "out")
+        assert "p_x = 10, p_y = 10" in message
 
     # a state row is iter, k, support_size, rayleigh, then (index, theta)
     # pairs: "300" and "-1" are indices outside [0, 20), "2" repeats the
@@ -339,7 +363,8 @@ def small_traces(draw):
 
 def report_json(trace, p_x) -> str:
     try:
-        return json.dumps(_jsonable(_report_dict(build_report(trace, p_x))), sort_keys=True)
+        rep = _report_dict(build_report(trace, p_x))
+        return json.dumps(rep, sort_keys=True, default=lambda o: o.tolist())
     except StccaError as exc:
         return type(exc).__name__ + str(exc)
 

@@ -57,30 +57,24 @@ def theta_draws(pair, rng):
     return normals, u_couple, float(rng.random())
 
 
-def make_pair(rng, p, k1=1, k2=1, lag=5) -> CoupledState:
+def make_pair(rng, p, k1=1, k2=1) -> CoupledState:
     return CoupledState(
         chain1=make_state(rng, p, k=k1),
         chain2=make_state(rng, p, k=k2),
-        lag=lag,
     )
 
 
 class TestCoupledState:
-    def test_lag_must_be_positive(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(DomainError):
-            CoupledState(chain1=make_state(rng, 4), chain2=make_state(rng, 4), lag=0)
-
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(1)
         with pytest.raises(DomainError):
-            CoupledState(chain1=make_state(rng, 4), chain2=make_state(rng, 6), lag=1)
+            CoupledState(chain1=make_state(rng, 4), chain2=make_state(rng, 6))
 
     def test_is_identical_detects_equality_and_each_field(self):
         rng = np.random.default_rng(2)
         a = make_state(rng, 5)
         b = ChainState(delta=a.delta.copy(), theta=a.theta.copy(), k=a.k)
-        pair = CoupledState(chain1=a, chain2=b, lag=3)
+        pair = CoupledState(chain1=a, chain2=b)
         assert pair.is_identical()
         b.theta[0] = np.nextafter(b.theta[0], np.inf)
         assert not pair.is_identical()
@@ -126,7 +120,7 @@ class TestCoupledGibbs:
             ladder = TemperingLadder.for_dimension(5, np.linspace(1.0, 1.5, 2))
             a = make_state(rng, 5, k=2)
             b = ChainState(delta=a.delta.copy(), theta=a.theta.copy(), k=a.k)
-            pair = CoupledState(chain1=a, chain2=b, lag=1)
+            pair = CoupledState(chain1=a, chain2=b)
             coupled_gibbs_step(
                 pair, gep, prior, ladder, np.arange(5), rng.random(5),
                 QuadraticCache(gep, a), QuadraticCache(gep, b),
@@ -155,7 +149,7 @@ class TestCoupledGibbs:
             c2 = ChainState(
                 delta=base2.delta.copy(), theta=base2.theta.copy(), k=base2.k
             )
-            pair = CoupledState(chain1=c1, chain2=c2, lag=1)
+            pair = CoupledState(chain1=c1, chain2=c2)
             coupled_gibbs_step(
                 pair, gep, prior, ladder, np.array([j]), rng.random(1),
                 QuadraticCache(gep, c1), QuadraticCache(gep, c2),
@@ -174,7 +168,7 @@ class TestCoupledTheta:
             ladder = TemperingLadder.for_dimension(6, np.linspace(1.0, 1.5, 3))
             a = make_state(rng, 6, k=int(rng.integers(1, 4)))
             b = ChainState(delta=a.delta.copy(), theta=a.theta.copy(), k=a.k)
-            pair = CoupledState(chain1=a, chain2=b, lag=1)
+            pair = CoupledState(chain1=a, chain2=b)
             coupled_theta_step(pair, gep, prior, ladder, *theta_draws(pair, rng))
             assert a.theta.tobytes() == b.theta.tobytes()
 
@@ -187,7 +181,7 @@ class TestCoupledTheta:
         ladder = TemperingLadder.for_dimension(6, np.linspace(1.0, 1.5, 3))
         a = make_state(rng, 6, delta=[1, 0, 0, 1, 0, 0], k=1)
         b = make_state(rng, 6, delta=[0, 1, 0, 1, 0, 0], k=3)
-        pair = CoupledState(chain1=a, chain2=b, lag=1)
+        pair = CoupledState(chain1=a, chain2=b)
         coupled_theta_step(pair, gep, prior, ladder, *theta_draws(pair, rng))
         t1 = ladder.temperatures[0]
         t2 = ladder.temperatures[2]
@@ -205,7 +199,7 @@ class TestCoupledTheta:
         seed = 99
         a = make_state(np.random.default_rng(seed), 4, delta=[1, 0, 0, 1], k=1)
         b = ChainState(delta=np.array([0, 0, 0, 1]), theta=a.theta.copy(), k=1)
-        pair = CoupledState(chain1=a, chain2=b, lag=1)
+        pair = CoupledState(chain1=a, chain2=b)
         drv = np.random.default_rng(seed + 1)
         coupled_theta_step(pair, gep, prior, ladder, *theta_draws(pair, drv))
         # replay the draw layout: z over the complement of G11, then xi_base
@@ -234,7 +228,7 @@ class TestCoupledTheta:
         for i in range(reps):
             a = ChainState(delta=d1.copy(), theta=theta0.copy(), k=2)
             b = ChainState(delta=d2.copy(), theta=theta0.copy(), k=2)
-            pair = CoupledState(chain1=a, chain2=b, lag=1)
+            pair = CoupledState(chain1=a, chain2=b)
             coupled_theta_step(pair, gep, prior, ladder, *theta_draws(pair, rng))
             coupled1[i] = a.theta[3]
             coupled2[i] = b.theta[1]
@@ -269,7 +263,7 @@ class TestCoupledTheta:
                 theta=theta + 0.05 * rng.standard_normal(4),
                 k=1,
             )
-            pair = CoupledState(chain1=a, chain2=b, lag=1)
+            pair = CoupledState(chain1=a, chain2=b)
             for _ in range(5):
                 coupled_theta_step(pair, gep, prior, ladder, *theta_draws(pair, rng))
                 if np.array_equal(a.theta[[0, 2]], b.theta[[0, 2]]):
@@ -292,7 +286,7 @@ class TestCoupledTemperature:
             k0 = int(rng.integers(1, 5))
             a = make_state(rng, 4, k=k0)
             b = make_state(rng, 4, k=int(rng.integers(1, 5)))
-            pair = CoupledState(chain1=a, chain2=b, lag=1)
+            pair = CoupledState(chain1=a, chain2=b)
             solo = ChainState(delta=a.delta.copy(), theta=a.theta.copy(), k=k0)
             coupled_temperature_step(pair, gep, prior, ladder, w, u, lp1, lp2)
             temperature_update(solo, gep, prior, ladder, w, u, lp1)
@@ -308,7 +302,7 @@ class TestCoupledTemperature:
             lp = float(rng.normal())
             a = make_state(rng, 4, k=k0)
             b = ChainState(delta=a.delta.copy(), theta=a.theta.copy(), k=k0)
-            pair = CoupledState(chain1=a, chain2=b, lag=1)
+            pair = CoupledState(chain1=a, chain2=b)
             coupled_temperature_step(pair, gep, prior, ladder, *rng.random(2), lp, lp)
             assert a.k == b.k
 
@@ -325,7 +319,7 @@ class TestCoupledTemperature:
         for trial in range(200):
             a = make_state(rng, 4, k=1)
             b = ChainState(delta=a.delta.copy(), theta=a.theta.copy(), k=2)
-            pair = CoupledState(chain1=a, chain2=b, lag=1)
+            pair = CoupledState(chain1=a, chain2=b)
             coupled_temperature_step(
                 pair, gep, prior, ladder, *rng.random(2), -10.0, -10.0
             )
@@ -368,7 +362,7 @@ class TestCoupledStep:
         ladder = TemperingLadder.for_dimension(6, np.linspace(1.0, 1.5, 3))
         a = make_state(rng, 6, k=2)
         b = ChainState(delta=a.delta.copy(), theta=a.theta.copy(), k=a.k)
-        pair = CoupledState(chain1=a, chain2=b, lag=2)
+        pair = CoupledState(chain1=a, chain2=b)
         for _ in range(100):
             coupled_step(pair, gep, prior, ladder, 6, rng)
             assert a.k == b.k
@@ -386,7 +380,7 @@ class TestCoupledStep:
         ladder = TemperingLadder.for_dimension(p, np.linspace(1.0, 1.5, 3))
         a = make_state(rng, p, k=k)
         b = ChainState(delta=a.delta.copy(), theta=a.theta.copy(), k=a.k)
-        pair = CoupledState(chain1=a, chain2=b, lag=2)
+        pair = CoupledState(chain1=a, chain2=b)
         for subset, raw, normals, (u_couple, accept_u, w, u) in iterations:
             uniforms = np.empty(len(subset))
             for i, (j, v) in enumerate(zip(subset, raw)):
@@ -425,7 +419,7 @@ class TestCoupledStep:
         adapt = AdaptState.for_ladder(ladder)
         hook = AdaptiveHook(adapt, ladder)
         rng = np.random.default_rng(16)
-        pair = make_pair(rng, 10, lag=3)
+        pair = make_pair(rng, 10)
         met_at = None
         for t in range(400):
             coupled_step(pair, gep, prior, ladder, 10, rng, adapt=hook)
@@ -488,7 +482,8 @@ class TestTvBoundCurve:
         assert curve.bound[1] == pytest.approx(0.0)
 
     def test_bound_may_exceed_one_for_slow_meetings(self):
-        curve = tv_bound_curve([3], lag=1, t_grid=[0, 1, 2])
+        curve = tv_bound_curve([3], lag=1)
+        assert curve.t_grid.tolist() == [0, 1, 2]
         assert curve.bound.tolist() == [2.0, 1.0, 0.0]
 
     def test_hand_computed_two_replication_curve(self):
@@ -507,8 +502,6 @@ class TestTvBoundCurve:
         curve = tv_bound_curve([3, 6], lag=2)
         assert curve.mixing_time(0.6) == 2
         assert curve.mixing_time(0.1) == 4
-        short = tv_bound_curve([3, 6], lag=2, t_grid=[0, 1])
-        assert short.mixing_time(0.1) is None
 
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyInputError):

@@ -10,6 +10,7 @@ from stcca import covariance
 from stcca.covariance import (
     DEFAULT_PSD_FLOOR,
     Dataset,
+    GepPair,
     assemble_gep,
     estimate_gep,
     kendall_tau_matrix,
@@ -238,6 +239,12 @@ class TestAssembleGep:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
             assemble_gep(np.eye(2), np.eye(2), np.zeros((3, 2)))
+
+    def test_nonzero_diagonal_of_A_rejected(self):
+        # the sampler's flip updates drop A's diagonal term
+        A = np.array([[0.0, 0.5], [0.5, 1e-300]])
+        with pytest.raises(DomainError):
+            GepPair(A=A, B=np.eye(2), p_x=1, p_y=1)
 
     def test_rank_based_repairs_each_block(self):
         # n < p makes the Kendall-sine matrix indefinite in both blocks

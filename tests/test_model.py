@@ -15,9 +15,11 @@ from stcca.model import (
     TemperingLadder,
     log_quasi_posterior,
     log_tempered,
+    quasi_scale,
     rayleigh,
     rayleigh_selected,
 )
+from stcca.sampler import _flip_log_odds
 
 from helpers import random_gep, selected_grad
 
@@ -387,7 +389,10 @@ class TestQuadraticCache:
             delta=np.array([0, 1, 0, 0], dtype=np.uint8),
             theta=rng.standard_normal(4),
         )
-        cache = QuadraticCache(g, state)
-        r_off, r_on = cache.branch_rayleigh(1, float(state.theta[1]), True)
-        assert r_off == -np.inf
-        assert np.isfinite(r_on)
+        # the off branch is the empty model: log odds +inf, so j stays on
+        prior = PriorConfig.defaults(4)
+        ell = _flip_log_odds(
+            QuadraticCache(g, state), 1, float(state.theta[1]), True, prior,
+            quasi_scale(g, prior), 1.0,
+        )
+        assert ell == np.inf

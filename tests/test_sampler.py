@@ -8,7 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from stcca.covariance import GepPair, assemble_gep
-from stcca.errors import DomainError
+from stcca.errors import DomainError, UndefinedQuotientError
 from stcca.model import (
     ChainState,
     PriorConfig,
@@ -218,6 +218,28 @@ class TestGibbsUpdateDelta:
         prior = PriorConfig.defaults(6)
         lad = TemperingLadder.for_dimension(6)
         assert sweep_to(state, g, prior, lad, 2, 1.0) == 1
+
+    def test_branch_without_quotient_has_probability_zero(self):
+        # B indefinite, built directly: a branch with theta' B theta <= 0 has
+        # no quotient and probability 0, whatever the uniform
+        prior = PriorConfig.defaults(3)
+        lad = TemperingLadder.for_dimension(3)
+        ones = np.ones(3)
+        g = GepPair(A=np.zeros((3, 3)), B=np.diag([1.0, -5.0, 1.0]), p_x=1, p_y=2, n=10)
+        # switching 1 on gives theta' B theta = -4: it stays off even at u = 0.0
+        assert sweep_to(ChainState(delta=[1, 0, 0], theta=ones), g, prior, lad, 1, 0.0) == 0
+        # switching 0 off leaves -0.5: it stays on even at u = 1.0
+        g = GepPair(A=np.zeros((3, 3)), B=np.diag([1.0, -0.5, 1.0]), p_x=1, p_y=2, n=10)
+        assert sweep_to(ChainState(delta=[1, 1, 0], theta=ones), g, prior, lad, 0, 1.0) == 1
+
+    @pytest.mark.parametrize("delta, j", [([0, 1, 0], 1), ([1, 1, 0], 0)], ids=["last", "both"])
+    def test_both_branches_without_quotient_raise(self, delta, j):
+        # "last": the off branch is the empty model and the on branch has
+        # theta' B theta = -5; "both": the branches have -4 and -5
+        g = GepPair(A=np.zeros((3, 3)), B=np.diag([1.0, -5.0, 1.0]), p_x=1, p_y=2, n=10)
+        state = ChainState(delta=delta, theta=np.ones(3))
+        with pytest.raises(UndefinedQuotientError):
+            sweep_to(state, g, PriorConfig.defaults(3), TemperingLadder.for_dimension(3), j, 0.5)
 
     def test_injected_uniform_thresholds(self):
         rng = np.random.default_rng(11)
